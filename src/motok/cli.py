@@ -24,8 +24,8 @@ from . import model as mdl
 from . import quantizer as qz
 from . import tensorcore as tc
 from . import trainer as tr
-from .errors import (ArgumentError, ConfigError, DataError, MotokError,
-                     ShapeError, StateError, TrainingError)
+from .errors import (ArgumentError, ConfigError, DataError, ShapeError,
+                     StateError, TrainingError)
 
 CONFIG_SCHEMA = 1
 
@@ -71,9 +71,19 @@ def load_config(path) -> tuple:
     return model_cfg, trainer_cfg, stride
 
 
-def _window_arrays(kp, config: mdl.ModelConfig, stride: int) -> list:
+def _load_items(path, config: mdl.ModelConfig, stride: int) -> list:
+    """Keypoints (.jsonl) -> keypoint windows; heatmap tensor (.mht) -> [volume].
+
+    The items are unrendered; ``tr.prepare_windows`` turns them into model input.
+    """
+    p = Path(path)
+    if p.suffix == ".mht":
+        return [tc.load_tensor(p)]  # frame-major [F,C,H,W]
     length = config.input_extents[0]
-    return tr.prepare_windows(config, hm.window(kp, length, stride))
+    windows = hm.window(hm.load_keypoints(p), length, stride)
+    if not windows:
+        raise ArgumentError(f"{path}: sequence too short for {length}-frame windows")
+    return windows
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +111,7 @@ def cmd_train(args) -> int:
     started = time.time()
     model_cfg, trainer_cfg, stride = load_config(args.config)
     seed = _resolve_seed(args.seed)
-    kp = hm.load_keypoints(args.data)
-    windows = hm.window(kp, model_cfg.input_extents[0], stride)
-    if not windows:
-        raise ArgumentError(f"{args.data}: sequence too short for "
-                            f"{model_cfg.input_extents[0]}-frame windows")
+    items = _load_items(args.data, model_cfg, stride)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -117,7 +123,7 @@ def cmd_train(args) -> int:
     log_path = out_dir / "loss_log.jsonl"
     mode = "a" if args.resume else "w"
     with open(log_path, mode, encoding="utf-8") as log_stream:
-        result = tr.train(model_cfg, windows, args.steps, seed, trainer_cfg,
+        result = tr.train(model_cfg, items, args.steps, seed, trainer_cfg,
                           state=state, opt_buffers=opt_buffers,
                           out_dir=out_dir, log_stream=log_stream)
     final = out_dir / "ckpt_final.mck"
@@ -129,39 +135,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_input_windows(path, config: mdl.ModelConfig, stride: int) -> list:
-    """Keypoints (.jsonl) or a heatmap tensor (.mht) -> [C,T,H,W] windows."""
-    p = Path(path)
-    if p.suffix == ".mht":
-        vol = tc.load_tensor(p)  # frame-major [F,C,H,W]
-        return tr.prepare_windows(config, [vol])
-    kp = hm.load_keypoints(p)
-    windows = _window_arrays(kp, config, stride)
-    if not windows:
-        raise ArgumentError(f"{path}: sequence too short for "
-                            f"{config.input_extents[0]}-frame windows")
-    return windows
-
-
 def cmd_tokenize(args) -> int:
     started = time.time()
     state, _ = mdl.load_checkpoint(args.ckpt)
     config = state.config
-    windows = _load_input_windows(args.data, config, args.stride)
+    windows = tr.prepare_windows(config, _load_items(args.data, config, args.stride))
     out = Path(args.out)
     outputs = []
     for i, win in enumerate(windows):
-        _, grids, _ = mdl.encode(state, win[None])
-        grid = grids if isinstance(grids, qz.TokenGrid) else grids[0]
+        _, grid, _ = mdl.encode(state, win[None])
         dest = out if len(windows) == 1 else \
             out.with_name(f"{out.stem}_{i:04d}{out.suffix}")
         qz.save_tokens(dest, grid)
         outputs.append(dest)
-    t, h, w = config.input_extents
-    lt, lh, lw = config.latent_extents
-    factor = (t * h * w) // (lt * lh * lw)
-    print(f"compression factor: {factor}x ({len(outputs)} token grid(s), "
-          f"{lt * lh * lw} tokens each)")
+    print(f"compression factor: {config.compression_factor}x "
+          f"({len(outputs)} token grid(s), {grid.indices.size} tokens each)")
     write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "tokenize",
                    {"ckpt": str(args.ckpt), "compression": config.compression},
                    state.seed, [args.ckpt, args.data], outputs, started)
@@ -185,7 +173,8 @@ def cmd_detokenize(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     state, _ = mdl.load_checkpoint(args.ckpt)
-    windows = _load_input_windows(args.data, state.config, args.stride)
+    windows = tr.prepare_windows(state.config,
+                                 _load_items(args.data, state.config, args.stride))
     frame_major = [np.moveaxis(w, 0, 1) for w in windows]  # [F,C,H,W]
     report = mx.evaluate(state, frame_major, model_tag=args.tag)
     out = Path(args.out)

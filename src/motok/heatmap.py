@@ -19,9 +19,8 @@ LAYOUT_2D = "2d"
 LAYOUT_3D = "3d"
 LAYOUT_TRIPLANE = "triplane"
 
-# Reference spread: 2 px at 128x128, scaled proportionally elsewhere.
+# Default Gaussian spread in pixels.
 SIGMA_REF = 2.0
-RESOLUTION_REF = 128
 
 
 @dataclass
@@ -78,11 +77,6 @@ class HeatmapVolume:
         if self.values.ndim != expected_rank[self.layout]:
             raise ShapeError(f"layout {self.layout} expects rank {expected_rank[self.layout]}, "
                              f"got {self.values.ndim}")
-
-
-def sigma_for_resolution(h: int, w: int) -> float:
-    """Spread keeping peak width resolution-invariant."""
-    return SIGMA_REF * min(h, w) / RESOLUTION_REF
 
 
 def _gauss_1d(grid: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
@@ -151,34 +145,6 @@ def window(kp: KeypointSequence, length: int, stride: int) -> list:
                                     kp.validity[start:start + length].copy()))
         start += stride
     return out
-
-
-def render_limbs2d(kp: KeypointSequence, pairs, h: int, w: int, sigma: float) -> HeatmapVolume:
-    """Optional limb mode: Gaussian of distance to each joint-pair segment."""
-    if sigma <= 0:
-        raise ArgumentError(f"sigma must be positive, got {sigma}")
-    if kp.dims != 2:
-        raise ArgumentError("render_limbs2d needs 2-D keypoints")
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    maps = np.zeros((kp.frames, len(pairs), h, w))
-    for f in range(kp.frames):
-        for c, (a, b) in enumerate(pairs):
-            if not (kp.validity[f, a] and kp.validity[f, b]):
-                continue
-            pa = kp.coords[f, a]
-            pb = kp.coords[f, b]
-            seg = pb - pa
-            denom = float(seg @ seg)
-            dx = xx - pa[0]
-            dy = yy - pa[1]
-            if denom == 0.0:
-                d2 = dx * dx + dy * dy
-            else:
-                t = np.clip((dx * seg[0] + dy * seg[1]) / denom, 0.0, 1.0)
-                d2 = (dx - t * seg[0]) ** 2 + (dy - t * seg[1]) ** 2
-            maps[f, c] = np.exp(-d2 / (2.0 * sigma * sigma))
-    return HeatmapVolume(maps, LAYOUT_2D, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ class FeatureExtractor:
     perceptual network.
 
     Weights are fixed at construction and never receive gradients; identical
-    seeds give identical features. ``set_weights`` is the hook for loading
-    externally trained filters instead.
+    seeds give identical features.
     """
 
     def __init__(self, in_channels: int, seed: int = 0,
@@ -42,11 +41,6 @@ class FeatureExtractor:
             b = np.zeros(c_out, dtype=np.float32)
             self.weights.append((Tensor(w), Tensor(b)))
             c_in = c_out
-
-    def set_weights(self, weights) -> None:
-        """Replace filters with external (weight, bias) array pairs."""
-        self.weights = [(Tensor(np.asarray(w)), Tensor(np.asarray(b)))
-                        for w, b in weights]
 
     def features(self, x: Tensor) -> list:
         """Tapped activations after each strided conv stage."""

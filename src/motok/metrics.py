@@ -141,8 +141,10 @@ def evaluate(state, dataset, model_tag: str = "VQ-GAN") -> MetricsReport:
     """Reconstruct every window through encode/decode and average the metrics.
 
     ``dataset`` is a sequence of frame-major heatmap windows ([F,C,H,W] arrays
-    or HeatmapVolume). Q-loss is the quantizer's evaluation-time commitment
-    residual, averaged over windows.
+    or HeatmapVolume). Each window is decoded from its token grid by
+    ``model.decode``, so the scores are those of the volume ``detokenize``
+    writes. Q-loss is the quantizer's evaluation-time commitment residual,
+    averaged over windows.
     """
     windows = list(dataset)
     if not windows:
@@ -154,8 +156,7 @@ def evaluate(state, dataset, model_tag: str = "VQ-GAN") -> MetricsReport:
         batch = np.moveaxis(x, 0, 1)[None]  # [1,C,F,H,W]
         z_e = mdl.encoder_forward(state, mdl.Tensor(batch))
         result = quantize(z_e, state.codebook)
-        recon = mdl.decoder_forward(state, result.z_q)
-        xhat = np.moveaxis(recon.data[0], 0, 1)  # [F,C,H,W]
+        xhat = mdl.decode(state, result.grids[0]).values  # [F,C,H,W]
         sums += [ssim(x, xhat), psnr(x, xhat), l1(x, xhat), tstd(xhat)]
         qsum += result.commit_residual
     n = len(windows)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,12 +93,6 @@ class ModelState:
     step: int = 0
     seed: int = 0
     has_discriminator: bool = True
-
-    def named_parameters(self, prefix: str = "") -> dict:
-        out = {k: v for k, v in self.params.items() if k.startswith(prefix)}
-        if prefix in ("", "codebook"):
-            out["codebook.entries"] = self.codebook.entries
-        return out
 
 
 def _groups_for(channels: int) -> int:
@@ -241,7 +236,11 @@ def discriminator_forward(state: ModelState, x: Tensor) -> Tensor:
 
 
 def encode(state: ModelState, heatmaps):
-    """Run the encoder and quantizer; returns (z_e, grid(s), z_q)."""
+    """Run the encoder and quantizer; returns (z_e, grids, z_q).
+
+    ``grids`` is one TokenGrid for a batch of one and a list of TokenGrids,
+    one per batch element, otherwise.
+    """
     x = _as_batch(heatmaps)
     _check_extents(state.config, x)
     z_e = encoder_forward(state, Tensor(x))
@@ -321,32 +320,61 @@ def save_checkpoint(path, state: ModelState, extra: dict = None) -> None:
             f.write(raw)
 
 
+_HEADER_KEYS = ("config", "has_discriminator", "manifest", "seed", "step")
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and v >= 0
+
+
+def _read_buffer(blob: bytes, base: int, name: str, meta, path) -> np.ndarray:
+    """One manifest entry -> a native-order copy of its bytes after ``base``."""
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path}: manifest entry {name} is not an object")
+    tag, extents, offset = meta.get("dtype"), meta.get("extents"), meta.get("offset")
+    if not isinstance(tag, str) or tag not in _NP_TAGS:
+        raise DataError(f"checkpoint {path}: buffer {name} has unknown dtype {tag!r}")
+    if not (isinstance(extents, list) and all(_is_count(e) for e in extents)):
+        raise DataError(f"checkpoint {path}: buffer {name} has bad extents {extents!r}")
+    if not _is_count(offset):
+        raise DataError(f"checkpoint {path}: buffer {name} has bad offset {offset!r}")
+    dt = _NP_TAGS[tag]
+    count = math.prod(extents)
+    start = base + offset
+    if start + count * dt.itemsize > len(blob):
+        raise DataError(f"truncated checkpoint {path}: buffer {name}")
+    arr = np.frombuffer(blob, dtype=dt, offset=start, count=count)
+    return arr.reshape(extents).astype(dt.newbyteorder("="), copy=True)
+
+
 def load_checkpoint(path):
-    """Returns (ModelState, extra dict); bit-exact round-trip with save."""
+    """Returns (ModelState, extra dict); bit-exact round-trip with save.
+
+    The header is checked before any of its values is used: a malformed file
+    raises DataError and nothing else.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MCK_MAGIC:
         raise DataError(f"bad checkpoint magic in {path}")
-    try:
-        hlen, = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"corrupt checkpoint header in {path}") from exc
+    if len(blob) < 8:
+        raise DataError(f"truncated checkpoint header in {path}")
+    hlen, = struct.unpack_from("<I", blob, 4)
     base = 8 + hlen
-    buffers = {}
-    for name, meta in header["manifest"].items():
-        dt = _NP_TAGS[meta["dtype"]]
-        count = int(np.prod(meta["extents"], dtype=np.int64)) if meta["extents"] else 1
-        start = base + meta["offset"]
-        end = start + count * dt.itemsize
-        if end > len(blob):
-            raise DataError(f"truncated checkpoint {path}: buffer {name}")
-        arr = np.frombuffer(blob, dtype=dt, offset=start, count=count)
-        buffers[name] = arr.reshape(meta["extents"]).astype(dt.newbyteorder("="), copy=True)
+    if base > len(blob):
+        raise DataError(f"checkpoint header length {hlen} runs past the end of {path}")
+    try:
+        header = json.loads(blob[8:base].decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"corrupt checkpoint header in {path}") from exc
+    if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+        raise DataError(f"checkpoint header in {path} must be an object with keys "
+                        f"{', '.join(_HEADER_KEYS)}")
+    if not isinstance(header["manifest"], dict) or not isinstance(header["config"], dict):
+        raise DataError(f"checkpoint header in {path}: manifest and config must be objects")
+    buffers = {name: _read_buffer(blob, base, name, meta, path)
+               for name, meta in header["manifest"].items()}
 
-    cfg_dict = dict(header["config"])
-    cfg_dict["input_extents"] = tuple(cfg_dict["input_extents"])
-    config = ModelConfig(**cfg_dict)
     params = {}
     extra = {}
     codebook_entries = None
@@ -362,8 +390,15 @@ def load_checkpoint(path):
             params[name] = Tensor(arr, requires_grad=True)
     if codebook_entries is None:
         raise DataError(f"checkpoint {path} has no codebook entries")
-    book = Codebook(Tensor(codebook_entries, requires_grad=True), usage)
-    state = ModelState(config, params, book, step=int(header["step"]),
-                       seed=int(header["seed"]),
+    try:
+        config = ModelConfig(**header["config"])
+        book = Codebook(Tensor(codebook_entries, requires_grad=True), usage)
+        step, seed = int(header["step"]), int(header["seed"])
+    except (TypeError, ValueError, OverflowError) as exc:  # incl. ConfigError
+        raise DataError(f"invalid checkpoint header in {path}: {exc}") from exc
+    if book.usage.shape != (book.vocab,):
+        raise DataError(f"checkpoint {path}: codebook usage has extents "
+                        f"{book.usage.shape}, expected ({book.vocab},)")
+    state = ModelState(config, params, book, step=step, seed=seed,
                        has_discriminator=bool(header["has_discriminator"]))
     return state, extra

@@ -194,6 +194,8 @@ def load_tokens(path) -> TokenGrid:
         blob = f.read()
     if blob[:4] != _MTK_MAGIC:
         raise DataError(f"bad token file magic in {path}")
+    if len(blob) < 20:
+        raise DataError(f"truncated token file {path}: {len(blob)}-byte header")
     vocab, = struct.unpack_from("<I", blob, 4)
     extents = struct.unpack_from("<3I", blob, 8)
     count = extents[0] * extents[1] * extents[2]

@@ -8,6 +8,7 @@ deterministic and two backward passes over identical tapes are bit-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -16,15 +17,6 @@ import numpy as np
 from .errors import ArgumentError, DataError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-
-# When True every op output is checked for NaN/Inf (debug mode).
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
 
 class Tensor:
     """Dense row-major tensor, optionally tracking gradients."""
@@ -38,8 +30,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        if _debug_checks and not np.all(np.isfinite(self.data)):
-            raise ArgumentError("tensor holds non-finite values")
 
     @property
     def shape(self) -> tuple:
@@ -55,12 +45,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -157,8 +141,6 @@ def backward(loss: Tensor) -> None:
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(out_data)):
-        raise ArgumentError("op produced non-finite values")
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -511,13 +493,17 @@ def load_tensor(path) -> np.ndarray:
         blob = f.read()
     if blob[:4] != _MHT_MAGIC:
         raise DataError(f"bad tensor file magic in {path}")
+    if len(blob) < 6:
+        raise DataError(f"truncated tensor file {path}: {len(blob)}-byte header")
     tag, rank = struct.unpack_from("<BB", blob, 4)
     if tag not in _DTYPE_TAGS:
         raise DataError(f"unknown dtype tag {tag} in {path}")
+    offset = 6 + 4 * rank
+    if len(blob) < offset:
+        raise DataError(f"truncated tensor file {path}: no room for {rank} extents")
     shape = struct.unpack_from(f"<{rank}I", blob, 6)
     dtype = _DTYPE_TAGS[tag]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    offset = 6 + 4 * rank
+    count = math.prod(shape)
     expected = offset + count * dtype.itemsize
     if len(blob) != expected:
         raise DataError(f"truncated tensor file {path}: {len(blob)} bytes, expected {expected}")

@@ -9,7 +9,6 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 

@@ -1,4 +1,8 @@
-"""Shared test utilities: central finite-difference gradient checking."""
+"""Shared test utilities: central finite-difference gradient checking and
+checkpoint-header surgery."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -45,3 +49,18 @@ def check_grads(build, arrays, rtol=1e-5, h=1e-6):
         err = np.max(np.abs(a - n) / (1.0 + np.abs(n)))
         worst = max(worst, float(err))
     return worst
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy an MCK1 checkpoint with its JSON header replaced by edit(header).
+
+    ``edit`` may change the header in place (returning None) or return a new
+    JSON value; the buffers after the header are copied unchanged.
+    """
+    blob = open(src, "rb").read()
+    hlen, = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + hlen])
+    new = edit(header)
+    raw = json.dumps(header if new is None else new).encode("utf-8")
+    with open(dst, "wb") as f:
+        f.write(blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + hlen:])

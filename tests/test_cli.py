@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from motok import cli
+from motok import heatmap as hm
+from motok import metrics as mx
 from motok import model as mdl
-from motok import quantizer as qz
 from motok import tensorcore as tc
+from motok import trainer as tr
+
+from helpers import rewrite_checkpoint_header
 
 
 TINY_CONFIG = {
@@ -168,7 +172,41 @@ class TestTokenizeDetokenize:
                          "--out", str(tmp_path / "v.mht")]) == 5
 
 
+    @pytest.mark.parametrize("artifact", ["mtk", "mht", "mck"])
+    def test_malformed_artifact_code(self, workspace, tmp_path, artifact):
+        ckpt = str(workspace["ckpt"])
+        bad = tmp_path / f"bad.{artifact}"
+        if artifact == "mtk":
+            bad.write_bytes(b"MTK1\x01")
+            argv = ["detokenize", "--ckpt", ckpt, "--tokens", str(bad)]
+        elif artifact == "mht":
+            bad.write_bytes(b"MHT1\x00")
+            argv = ["tokenize", "--ckpt", ckpt, "--in", str(bad)]
+        else:  # a buffer offset pointing back into the header
+            rewrite_checkpoint_header(
+                ckpt, bad, lambda h: h["manifest"]["enc.stem.w"].update(offset=-8))
+            argv = ["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"])]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 5
+
+
 class TestEval:
+    def test_scores_the_detokenize_output(self, workspace, tmp_path):
+        ckpt = str(workspace["ckpt"])
+        assert cli.main(["tokenize", "--ckpt", ckpt, "--in", str(workspace["keypoints"]),
+                         "--stride", "8", "--out", str(tmp_path / "w.mtk")]) == 0
+        volume = tmp_path / "w.mht"
+        assert cli.main(["detokenize", "--ckpt", ckpt, "--tokens",
+                         str(tmp_path / "w_0000.mtk"), "--out", str(volume)]) == 0
+        xhat = tc.load_tensor(volume)
+
+        state, _ = mdl.load_checkpoint(ckpt)
+        kp = hm.load_keypoints(workspace["keypoints"])
+        win = tr.prepare_windows(state.config, hm.window(kp, 8, 8))[0]
+        x = np.moveaxis(win, 0, 1)  # [F,C,H,W], as cmd_eval passes it
+        report = mx.evaluate(state, [x])
+        assert (report.ssim, report.psnr, report.l1, report.tstd) == \
+            (mx.ssim(x, xhat), mx.psnr(x, xhat), mx.l1(x, xhat), mx.tstd(xhat))
+
     def test_report_files(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = cli.main(["eval", "--ckpt", str(workspace["ckpt"]),

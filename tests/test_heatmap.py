@@ -184,14 +184,6 @@ class TestWindow:
         assert all(w.frames == length for w in wins)
 
 
-class TestLimbs:
-    def test_midpoint_on_segment_is_peak(self):
-        kp = KeypointSequence(np.array([[[2.0, 5.0], [8.0, 5.0]]]))
-        vol = hm.render_limbs2d(kp, [(0, 1)], 12, 12, sigma=1.0)
-        assert vol.values[0, 0, 5, 5] == 1.0
-        assert vol.values[0, 0, 5, 2] == 1.0
-
-
 class TestKeypointFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -7,6 +7,8 @@ from motok.model import ModelConfig
 from motok.quantizer import TokenGrid
 from motok.tensorcore import Tensor
 
+from helpers import rewrite_checkpoint_header
+
 
 def small_config(**kw):
     base = dict(compression="F8", vocab=32, embed_dim=8, base_channels=8,
@@ -211,3 +213,50 @@ class TestCheckpoint:
         p.write_bytes(blob[:len(blob) - 64])
         with pytest.raises(DataError):
             mdl.load_checkpoint(p)
+
+
+def _first_buffer(header):
+    return header["manifest"][sorted(header["manifest"])[0]]
+
+
+# Each edit turns the header of a valid checkpoint into a malformed one.
+BAD_HEADERS = {
+    "unknown-dtype": lambda h: _first_buffer(h).update(dtype="f16"),
+    "missing-step": lambda h: {k: v for k, v in h.items() if k != "step"},
+    "json-array": lambda h: [h],
+    "unknown-config-field": lambda h: h["config"].update(wat=1),
+    "bad-config-value": lambda h: h["config"].update(compression="F4"),
+    "negative-offset": lambda h: _first_buffer(h).update(offset=-8),
+    "negative-extent": lambda h: _first_buffer(h).update(extents=[-1]),
+    "offset-past-end": lambda h: _first_buffer(h).update(offset=1 << 40),
+    "manifest-not-object": lambda h: h.update(manifest=[]),
+    "step-not-number": lambda h: h.update(step="x"),
+    "usage-extents": lambda h: h["manifest"]["codebook.usage"].update(extents=[3]),
+}
+
+
+class TestCheckpointHeader:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("ck") / "ok.mck"
+        mdl.save_checkpoint(p, mdl.build(small_config(), seed=2))
+        return p
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_malformed_header_is_data_error(self, valid, tmp_path, case):
+        p = tmp_path / "bad.mck"
+        rewrite_checkpoint_header(valid, p, BAD_HEADERS[case])
+        with pytest.raises(DataError):
+            mdl.load_checkpoint(p)
+
+    def test_header_length_beyond_file(self, tmp_path):
+        p = tmp_path / "bad.mck"
+        p.write_bytes(b"MCK1" + (1000).to_bytes(4, "little") + b"{}")
+        with pytest.raises(DataError):
+            mdl.load_checkpoint(p)
+
+    def test_unedited_header_loads(self, valid, tmp_path):
+        p = tmp_path / "same.mck"
+        rewrite_checkpoint_header(valid, p, lambda h: None)
+        state, _ = mdl.load_checkpoint(p)
+        assert state.seed == 2

@@ -191,3 +191,12 @@ class TestTokenFile:
     def test_out_of_range_index(self):
         with pytest.raises(DataError):
             TokenGrid((1, 1, 2), np.array([[[0, 9]]]), 8)
+
+    def test_every_truncation_is_data_error(self, tmp_path):
+        p = tmp_path / "t.mtk"
+        qz.save_tokens(p, TokenGrid((1, 2, 3), np.arange(6).reshape(1, 2, 3), 8))
+        blob = p.read_bytes()
+        for n in range(len(blob)):
+            p.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                qz.load_tokens(p)

@@ -289,3 +289,13 @@ class TestTensorFile:
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(DataError):
             tc.load_tensor(p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_truncation_is_data_error(self, tmp_path, dtype):
+        p = tmp_path / "t.mht"
+        tc.save_tensor(p, np.ones((2, 1, 3), dtype=dtype))
+        blob = p.read_bytes()
+        for n in range(len(blob)):
+            p.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                tc.load_tensor(p)

@@ -248,6 +248,28 @@ class TestTrainLoop:
                               resumed.state.codebook.entries.data)
         assert full.log_lines[3:] == resumed.log_lines
 
+    def test_dead_entry_reseed(self):
+        cfg = tiny_config()
+        data = tiny_windows(cfg)
+        plain = tr.train(cfg, data, steps=2, seed=4, tcfg=fast_tcfg())
+        runs = [tr.train(cfg, data, steps=2, seed=4,
+                         tcfg=fast_tcfg(reinit_dead_every=2)) for _ in range(2)]
+        # Up to the reseed at the end of step 2 both settings train alike, so
+        # the entries unused by then are the ones the reseed must replace.
+        dead = plain.state.codebook.usage == 0
+        assert 0 < dead.sum() < cfg.vocab
+        before = plain.state.codebook.entries.data
+        after = runs[0].state.codebook.entries.data
+        assert np.all(np.any(after[dead] != before[dead], axis=1))
+        assert np.array_equal(after[~dead], before[~dead])
+        assert np.all(np.abs(after[dead]) <= 1.0 / cfg.vocab)
+        assert not runs[0].state.codebook.usage.any()
+        assert runs[0].log_lines == plain.log_lines == runs[1].log_lines
+        assert np.array_equal(after, runs[1].state.codebook.entries.data)
+        for k in plain.state.params:
+            assert np.array_equal(runs[0].state.params[k].data,
+                                  runs[1].state.params[k].data)
+
     def test_nan_parameter_aborts_with_checkpoint(self, tmp_path):
         cfg = tiny_config()
         state = mdl.build(cfg, seed=0)
