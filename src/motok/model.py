@@ -102,59 +102,72 @@ def _groups_for(channels: int) -> int:
     return 1
 
 
-def _init_conv(params, rng, name, c_in, c_out, k):
-    fan_in = c_in * k ** 3
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                   size=(c_out, c_in, k, k, k)).astype(np.float32)
-    params[f"{name}.w"] = Tensor(w, requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
+_STREAMS = {"enc": "encoder", "dec": "decoder", "disc": "discriminator"}
 
 
-def _init_norm(params, name, channels):
-    params[f"{name}.g"] = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-    params[f"{name}.o"] = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+def param_layout(config: ModelConfig, include_discriminator: bool) -> dict:
+    """Parameter name -> extents, in the order ``build`` initializes them.
 
+    ``build`` draws its weights from this table and ``load_checkpoint`` checks
+    a manifest against it, so both agree on the architecture without drawing.
+    """
+    layout: dict = {}
 
-def _init_resblock(params, rng, name, channels):
-    _init_norm(params, f"{name}.norm1", channels)
-    _init_conv(params, rng, f"{name}.conv1", channels, channels, 3)
-    _init_norm(params, f"{name}.norm2", channels)
-    _init_conv(params, rng, f"{name}.conv2", channels, channels, 3)
+    def conv(name, c_in, c_out, k):
+        layout[f"{name}.w"] = (c_out, c_in, k, k, k)
+        layout[f"{name}.b"] = (c_out,)
+
+    def norm(name, channels):
+        layout[f"{name}.g"] = (channels,)
+        layout[f"{name}.o"] = (channels,)
+
+    def resblock(name, channels):
+        norm(f"{name}.norm1", channels)
+        conv(f"{name}.conv1", channels, channels, 3)
+        norm(f"{name}.norm2", channels)
+        conv(f"{name}.conv2", channels, channels, 3)
+
+    widths = config.stage_widths()
+    conv("enc.stem", config.in_channels, widths[0], 3)
+    for s in range(config.stages):
+        for r in range(2):
+            resblock(f"enc.stage{s}.res{r}", widths[s])
+        conv(f"enc.stage{s}.down", widths[s], widths[s + 1], 3)
+    norm("enc.head.norm", widths[-1])
+    conv("enc.head.proj", widths[-1], config.embed_dim, 1)
+
+    conv("dec.head.proj", config.embed_dim, widths[-1], 1)
+    for s in reversed(range(config.stages)):
+        for r in range(2):
+            resblock(f"dec.stage{s}.res{r}", widths[s + 1])
+        conv(f"dec.stage{s}.up", widths[s + 1], widths[s], 3)
+    norm("dec.out.norm", widths[0])
+    conv("dec.out.proj", widths[0], config.in_channels, 3)
+
+    if include_discriminator:
+        dc = config.base_channels
+        conv("disc.conv0", config.in_channels, dc, 3)
+        conv("disc.conv1", dc, dc * 2, 3)
+        conv("disc.conv2", dc * 2, dc * 4, 3)
+        conv("disc.out", dc * 4, 1, 1)
+    return layout
 
 
 def build(config: ModelConfig, seed: int, include_discriminator=None) -> ModelState:
     """Deterministically initialized model; per-role RNG streams keep the
     discriminator's presence from shifting any other parameter draw."""
-    params: dict = {}
-    widths = config.stage_widths()
-
-    enc_rng = stream_rng(seed, "encoder")
-    _init_conv(params, enc_rng, "enc.stem", config.in_channels, widths[0], 3)
-    for s in range(config.stages):
-        for r in range(2):
-            _init_resblock(params, enc_rng, f"enc.stage{s}.res{r}", widths[s])
-        _init_conv(params, enc_rng, f"enc.stage{s}.down", widths[s], widths[s + 1], 3)
-    _init_norm(params, "enc.head.norm", widths[-1])
-    _init_conv(params, enc_rng, "enc.head.proj", widths[-1], config.embed_dim, 1)
-
-    dec_rng = stream_rng(seed, "decoder")
-    _init_conv(params, dec_rng, "dec.head.proj", config.embed_dim, widths[-1], 1)
-    for s in reversed(range(config.stages)):
-        for r in range(2):
-            _init_resblock(params, dec_rng, f"dec.stage{s}.res{r}", widths[s + 1])
-        _init_conv(params, dec_rng, f"dec.stage{s}.up", widths[s + 1], widths[s], 3)
-    _init_norm(params, "dec.out.norm", widths[0])
-    _init_conv(params, dec_rng, "dec.out.proj", widths[0], config.in_channels, 3)
-
     if include_discriminator is None:
         include_discriminator = config.lambda_adv != 0.0
-    if include_discriminator:
-        disc_rng = stream_rng(seed, "discriminator")
-        dc = config.base_channels
-        _init_conv(params, disc_rng, "disc.conv0", config.in_channels, dc, 3)
-        _init_conv(params, disc_rng, "disc.conv1", dc, dc * 2, 3)
-        _init_conv(params, disc_rng, "disc.conv2", dc * 2, dc * 4, 3)
-        _init_conv(params, disc_rng, "disc.out", dc * 4, 1, 1)
+    rngs = {prefix: stream_rng(seed, role) for prefix, role in _STREAMS.items()}
+    params: dict = {}
+    for name, shape in param_layout(config, include_discriminator).items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "w":  # conv kernel, He-normal over its fan-in
+            std = np.sqrt(2.0 / math.prod(shape[1:]))
+            data = rngs[name.split(".", 1)[0]].normal(0.0, std, size=shape)
+        else:  # norm gains start at one, biases and norm offsets at zero
+            data = np.full(shape, 1.0 if kind == "g" else 0.0)
+        params[name] = Tensor(data.astype(np.float32), requires_grad=True)
 
     book = qz.init_codebook(config.vocab, config.embed_dim,
                             int(stream_rng(seed, "codebook").integers(2 ** 63)))
@@ -399,6 +412,19 @@ def load_checkpoint(path):
     if book.usage.shape != (book.vocab,):
         raise DataError(f"checkpoint {path}: codebook usage has extents "
                         f"{book.usage.shape}, expected ({book.vocab},)")
+    has_discriminator = bool(header["has_discriminator"])
+    layout = param_layout(config, has_discriminator)
+    layout["codebook.entries"] = (config.vocab, config.embed_dim)
+    found = {**params, "codebook.entries": book.entries}
+    if found.keys() != layout.keys():
+        missing = sorted(layout.keys() - found.keys())
+        unknown = sorted(found.keys() - layout.keys())
+        raise DataError(f"checkpoint {path} does not match its config: "
+                        f"missing {missing}, unknown {unknown}")
+    for name, extents in layout.items():
+        if found[name].shape != extents:
+            raise DataError(f"checkpoint {path}: buffer {name} has extents "
+                            f"{found[name].shape}, config expects {extents}")
     state = ModelState(config, params, book, step=step, seed=seed,
-                       has_discriminator=bool(header["has_discriminator"]))
+                       has_discriminator=has_discriminator)
     return state, extra

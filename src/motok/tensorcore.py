@@ -341,21 +341,26 @@ def _triple(v, name: str) -> tuple:
 
 
 def _im2col(xp: np.ndarray, kernel: tuple, stride: tuple, out_ext: tuple) -> np.ndarray:
-    """Padded [N,C,*] volume -> contiguous [N, C*kt*kh*kw, to*ho*wo] columns."""
-    kt, kh, kw = kernel
+    """One padded [C,*] volume -> contiguous [C*kt*kh*kw, to*ho*wo] columns."""
     st, sh, sw = stride
-    to, ho, wo = out_ext
-    n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::st, ::sh, ::sw]
-    cols = win.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, c * kt * kh * kw,
-                                                         to * ho * wo)
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(1, 2, 3))
+    win = win[:, ::st, ::sh, ::sw]
+    cols = win.transpose(0, 4, 5, 6, 1, 2, 3).reshape(xp.shape[0] * math.prod(kernel),
+                                                      math.prod(out_ext))
     return np.ascontiguousarray(cols)
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
-    """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels."""
+    """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
+
+    Forward and backward loop over the batch, one sample's im2col ``cols`` at
+    a time. Memory contract: ``cols`` is kept for backward only when the
+    weight trains (it requires a gradient and a tape is recording); otherwise
+    at most one sample's ``cols`` is alive, so memory does not grow with
+    batch x im2col. Backward computes only the gradients whose inputs require
+    one and returns None for the others.
+    """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
     if any(s < 1 for s in stride):
@@ -380,37 +385,54 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    if padding == (0, 0, 0):
-        xp = x.data
-    else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    pointwise = (kt, kh, kw) == (1, 1, 1) and stride == (1, 1, 1)
+    pad = ((0, 0), (pt, pt), (ph, ph), (pw, pw))
+    pointwise = (kt, kh, kw) == (1, 1, 1) and stride == (1, 1, 1) and padding == (0, 0, 0)
     w2 = weight.data.reshape(co, c * kt * kh * kw)
-    if pointwise:
-        cols = xp.reshape(n, c, to * ho * wo)
-    else:
-        cols = _im2col(xp, (kt, kh, kw), stride, (to, ho, wo))
-    out = np.matmul(w2, cols).reshape(n, co, to, ho, wo)
+    p = to * ho * wo
+    keep_cols = weight.requires_grad and active_tape() is not None
+    saved = []
+    out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
+    for b in range(n):
+        if pointwise:
+            cols = x.data[b].reshape(c, p)
+        else:
+            cols = _im2col(np.pad(x.data[b], pad), (kt, kh, kw), stride, (to, ho, wo))
+        np.matmul(w2, cols, out=out[b])
+        if keep_cols:
+            saved.append(cols)
+        del cols  # the next sample's cols must not be built while this one lives
+    out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
         out += bias.data[None, :, None, None, None]
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.reshape(n, co, to * ho * wo))
-        # Batched GEMM with a stride-flipped B avoids tensordot's copy of cols.
-        gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        dcols = np.matmul(w2.T, g2)
-        if pointwise:
-            gx = dcols.reshape(x.shape)
-        else:
-            dcols = dcols.reshape(n, c, kt, kh, kw, to, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kt):
-                for j in range(kh):
-                    for k in range(kw):
-                        gxp[:, :, i:i + to * st:st, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
-                            dcols[:, :, i, j, k]
-            gx = np.ascontiguousarray(gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + w])
-        gb = g.sum(axis=(0, 2, 3, 4)) if bias is not None else None
+        g2 = np.ascontiguousarray(g.reshape(n, co, p))
+        gw = gx = gb = None
+        if keep_cols:
+            # Per-sample GEMMs summed in batch order, as a batched sum(axis=0) does.
+            gw = np.matmul(g2[0], saved[0].T)
+            for b in range(1, n):
+                gw += np.matmul(g2[b], saved[b].T)
+            gw = gw.reshape(weight.shape)
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=x.dtype)
+            gxp = None if pointwise else np.empty((c, tp, hp, wp), dtype=x.dtype)
+            for b in range(n):
+                dcols = np.matmul(w2.T, g2[b])
+                if pointwise:
+                    gx[b] = dcols.reshape(c, t, h, w)
+                    continue
+                dcols = dcols.reshape(c, kt, kh, kw, to, ho, wo)
+                gxp.fill(0)
+                for i in range(kt):
+                    for j in range(kh):
+                        for k in range(kw):
+                            gxp[:, i:i + to * st:st, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
+                                dcols[:, i, j, k]
+                gx[b] = gxp[:, pt:pt + t, ph:ph + h, pw:pw + w]
+                del dcols  # as in forward; two live dcols also defeat malloc's reuse
+        if bias is not None and bias.requires_grad:
+            gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

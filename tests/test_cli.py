@@ -189,6 +189,21 @@ class TestTokenizeDetokenize:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 5
 
 
+    # Parameter buffers that do not fit the architecture the header's config builds.
+    CONFIG_MISMATCH = {
+        "stem-weight-extents": lambda h: h["manifest"]["enc.stem.w"].update(extents=[1]),
+        "stem-bias-missing": lambda h: {**h, "manifest": {
+            k: v for k, v in h["manifest"].items() if k != "enc.stem.b"}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_MISMATCH))
+    def test_checkpoint_not_matching_config_code(self, workspace, tmp_path, case):
+        bad = tmp_path / "bad.mck"
+        rewrite_checkpoint_header(workspace["ckpt"], bad, self.CONFIG_MISMATCH[case])
+        assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
+                         "--out", str(tmp_path / "out")]) == 5
+
+
 class TestEval:
     def test_scores_the_detokenize_output(self, workspace, tmp_path):
         ckpt = str(workspace["ckpt"])

@@ -150,6 +150,16 @@ class TestForward:
         vol = mdl.decode(state, grid)
         assert vol.values.shape == frames.shape
 
+    def test_batch_encode_matches_single_calls(self):
+        cfg = small_config(input_extents=(16, 32, 32))
+        state = mdl.build(cfg, seed=0)
+        x = self.batch(cfg, n=3, seed=4).data
+        _, grids, z_q = mdl.encode(state, x)
+        for i in range(3):
+            _, grid, z_q1 = mdl.encode(state, x[i:i + 1])
+            assert np.array_equal(grid.indices, grids[i].indices)
+            assert z_q1.data.tobytes() == z_q.data[i:i + 1].tobytes()
+
     def test_encode_wrong_extent(self):
         state = mdl.build(small_config(), seed=0)
         with pytest.raises(ShapeError) as err:
@@ -232,6 +242,13 @@ BAD_HEADERS = {
     "manifest-not-object": lambda h: h.update(manifest=[]),
     "step-not-number": lambda h: h.update(step="x"),
     "usage-extents": lambda h: h["manifest"]["codebook.usage"].update(extents=[3]),
+    "param-extents": lambda h: h["manifest"]["enc.stem.w"].update(extents=[1]),
+    "param-missing": lambda h: {**h, "manifest": {
+        k: v for k, v in h["manifest"].items() if k != "enc.stem.b"}},
+    "param-unknown": lambda h: h["manifest"].update(
+        {"enc.extra.w": h["manifest"]["enc.stem.b"]}),
+    "entries-extents": lambda h: h["manifest"]["codebook.entries"].update(extents=[32, 4]),
+    "discriminator-flag": lambda h: h.update(has_discriminator=False),
 }
 
 

@@ -35,6 +35,47 @@ def conv3d_reference(x, w, b, stride, padding):
     return out
 
 
+def conv3d_batched_reference(x, w, b, stride, padding, g):
+    """Whole-batch im2col convolution and its gradients for upstream ``g``.
+
+    Builds ``cols`` for every sample at once and runs batched GEMMs; the
+    per-sample ``conv3d`` must reproduce its arithmetic bit for bit.
+    Returns (out, gx, gw, gb); gb is None without a bias.
+    """
+    n, c, t, h, wd = x.shape
+    co, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    to = (t + 2 * pt - kt) // st + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
+    win = win[:, :, ::st, ::sh, ::sw]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
+                                .reshape(n, c * kt * kh * kw, to * ho * wo))
+    w2 = w.reshape(co, -1)
+    out = np.matmul(w2, cols).reshape(n, co, to, ho, wo)
+    if b is not None:
+        out += b[None, :, None, None, None]
+    g2 = np.ascontiguousarray(g.reshape(n, co, to * ho * wo))
+    gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w2.T, g2).reshape(n, c, kt, kh, kw, to, ho, wo)
+    gxp = np.zeros_like(xp)
+    for i in range(kt):
+        for j in range(kh):
+            for k in range(kw):
+                gxp[:, :, i:i + to * st:st, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
+                    dcols[:, :, i, j, k]
+    gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
+    gb = g.sum(axis=(0, 2, 3, 4)) if b is not None else None
+    return out, gx, gw, gb
+
+
+# (kernel, stride, padding) of the model's three conv classes.
+CONV_CLASSES = {"k3s1": (3, 1, 1), "k3s2": (3, 2, 1), "k1": (1, 1, 0)}
+
+
 class TestConv3d:
     def test_all_ones_kernel(self):
         x = Tensor(np.ones((1, 1, 4, 4, 4)))
@@ -74,6 +115,69 @@ class TestConv3d:
         def build(xt, wt, bt):
             return tc.tsum(tc.mul(tc.conv3d(xt, wt, bt, stride=2, padding=1),
                                   tc.conv3d(xt, wt, bt, stride=2, padding=1)))
+
+        assert check_grads(build, [x, w, b]) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("conv", sorted(CONV_CLASSES))
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_batched_reference_bitwise(self, batch, conv, with_bias, dtype):
+        k, s, pad = CONV_CLASSES[conv]
+        rng = np.random.default_rng(11)
+        xv = rng.normal(size=(batch, 3, 5, 6, 4)).astype(dtype)
+        wv = rng.normal(size=(4, 3, k, k, k)).astype(dtype)
+        bv = rng.normal(size=4).astype(dtype) if with_bias else None
+        x = Tensor(xv, requires_grad=True)
+        w = Tensor(wv, requires_grad=True)
+        b = Tensor(bv, requires_grad=True) if with_bias else None
+        with Tape():
+            out = tc.conv3d(x, w, b, stride=s, padding=pad)
+            g = rng.normal(size=out.shape).astype(dtype)
+            backward(tc.tsum(tc.mul(out, Tensor(g))))
+        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        got = (out.data, x.grad, w.grad, b.grad if with_bias else None)
+        for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+            if e is None:
+                continue
+            assert a.dtype == e.dtype, name
+            assert np.array_equal(a, e), name
+
+    def test_skips_input_grad_when_input_is_constant(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 2, 4, 4, 4)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        with Tape() as tape:
+            out = tc.conv3d(x, w, b, stride=2, padding=1)
+        gx, gw, gb = tape.nodes[-1].backward_fn(np.ones_like(out.data))
+        assert gx is None
+        assert gw.shape == w.shape and gb.shape == b.shape
+
+    @pytest.mark.parametrize("conv", sorted(CONV_CLASSES))
+    def test_skips_frozen_weight_and_bias_grads(self, conv):
+        k, s, pad = CONV_CLASSES[conv]
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 2, 4, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k, k, k)))
+        b = Tensor(np.zeros(3))
+        with Tape() as tape:
+            out = tc.conv3d(x, w, b, stride=s, padding=pad)
+        gx, gw, gb = tape.nodes[-1].backward_fn(np.ones_like(out.data))
+        assert gx.shape == x.shape
+        assert gw is None and gb is None
+
+    def test_k1_with_padding(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 2, 3, 4, 3))
+        w = rng.normal(size=(3, 2, 1, 1, 1))
+        b = rng.normal(size=3)
+        got = tc.conv3d(Tensor(x), Tensor(w), Tensor(b), padding=1).numpy()
+        assert np.max(np.abs(got - conv3d_reference(x, w, b, (1, 1, 1), (1, 1, 1)))) < 1e-10
+
+        def build(xt, wt, bt):
+            out = tc.conv3d(xt, wt, bt, padding=1)
+            return tc.tsum(tc.mul(out, out))
 
         assert check_grads(build, [x, w, b]) < 1e-5
 
