@@ -57,17 +57,17 @@ def load_config(path) -> tuple:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object")
     if raw.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"{path}: expected schema {CONFIG_SCHEMA}, got {raw.get('schema')}")
-    model_raw = dict(raw.get("model", {}))
-    if "input_extents" in model_raw:
-        model_raw["input_extents"] = tuple(model_raw["input_extents"])
-    try:
-        model_cfg = mdl.ModelConfig(**model_raw)
+    try:  # a section that is not an object raises TypeError too
+        model_cfg = mdl.ModelConfig(**raw.get("model", {}))
         trainer_cfg = tr.TrainerConfig(**raw.get("trainer", {}))
     except TypeError as exc:
         raise ConfigError(f"{path}: unknown config field: {exc}") from exc
-    stride = int(raw.get("window_stride", 90))
+    stride = raw.get("window_stride", 90)
+    mdl.check_number("window_stride", stride, 1, integer=True)
     return model_cfg, trainer_cfg, stride
 
 

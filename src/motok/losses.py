@@ -17,6 +17,9 @@ from .errors import ArgumentError, ShapeError
 from .tensorcore import Tensor
 
 
+_FEATURE_WIDTHS = (8, 16, 32, 32)
+
+
 class FeatureExtractor:
     """Frozen seeded strided-conv feature pyramid standing in for a pretrained
     perceptual network.
@@ -25,17 +28,12 @@ class FeatureExtractor:
     seeds give identical features.
     """
 
-    def __init__(self, in_channels: int, seed: int = 0,
-                 widths=(8, 16, 32, 32), taps=None):
+    def __init__(self, in_channels: int, seed: int = 0):
         self.in_channels = in_channels
-        self.widths = tuple(widths)
-        self.taps = tuple(taps) if taps is not None else tuple(range(len(self.widths)))
-        if any(t < 0 or t >= len(self.widths) for t in self.taps):
-            raise ArgumentError(f"taps must index stages 0..{len(self.widths) - 1}")
         rng = np.random.default_rng(seed)
         self.weights = []
         c_in = in_channels
-        for c_out in self.widths:
+        for c_out in _FEATURE_WIDTHS:
             scale = np.sqrt(2.0 / (c_in * 27))
             w = rng.normal(0.0, scale, size=(c_out, c_in, 3, 3, 3)).astype(np.float32)
             b = np.zeros(c_out, dtype=np.float32)
@@ -43,15 +41,14 @@ class FeatureExtractor:
             c_in = c_out
 
     def features(self, x: Tensor) -> list:
-        """Tapped activations after each strided conv stage."""
+        """Activations after each strided conv stage."""
         out = []
         h = x
-        for stage, (w, b) in enumerate(self.weights):
+        for w, b in self.weights:
             wt = w if h.dtype == np.float32 else Tensor(w.data.astype(h.dtype))
             bt = b if h.dtype == np.float32 else Tensor(b.data.astype(h.dtype))
             h = tc.leaky_relu(tc.conv3d(h, wt, bt, stride=2, padding=1))
-            if stage in self.taps:
-                out.append(h)
+            out.append(h)
         return out
 
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +27,18 @@ from .tensorcore import Tensor
 
 _FACTORS = {"F8": 8, "F16": 16, "F32": 32}
 _CHANNEL_CAP = 256
+_REAL_MAX = sys.float_info.max
+_POSITIVE = math.nextafter(0.0, 1.0)  # as ``low`` of check_number: the value must be > 0
+
+
+def check_number(name: str, value, low, high=_REAL_MAX, integer: bool = False) -> None:
+    """ConfigError unless ``value`` is an int (or, unless ``integer``, a
+    float) in ``[low, high]``; bools, NaN and infinities are rejected."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not low <= value <= high:
+        bounds = f">= {low}" if high == _REAL_MAX else f"in [{low}, {high}]"
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind} {bounds}, got {value!r}")
 
 
 def stream_rng(seed: int, role: str) -> np.random.Generator:
@@ -50,16 +63,25 @@ class ModelConfig:
     mode: str = "2d"  # pose dimensionality tag: "2d" or "triplane"
 
     def __post_init__(self):
-        if self.compression not in _FACTORS:
+        if not isinstance(self.compression, str) or self.compression not in _FACTORS:
             raise ConfigError(f"compression must be one of {sorted(_FACTORS)}, "
                               f"got {self.compression!r}")
-        self.input_extents = tuple(int(e) for e in self.input_extents)
+        if self.mode not in ("2d", "triplane"):
+            raise ConfigError(f"mode must be '2d' or 'triplane', got {self.mode!r}")
+        for name, low in (("vocab", 2), ("embed_dim", 1), ("base_channels", 1),
+                          ("in_channels", 1)):
+            check_number(name, getattr(self, name), low, integer=True)
+        for name in ("lambda_adv", "alpha_perceptual", "beta_l1"):
+            check_number(name, getattr(self, name), 0.0)
+        check_number("sigma", self.sigma, _POSITIVE)
+        if not isinstance(self.input_extents, (list, tuple)) or len(self.input_extents) != 3:
+            raise ConfigError(f"input_extents must be [T, H, W], got {self.input_extents!r}")
+        self.input_extents = tuple(self.input_extents)
         f = self.factor
         for name, ext in zip("THW", self.input_extents):
+            check_number(f"input_extents {name}", ext, 1, integer=True)
             if ext % f != 0:
                 raise ConfigError(f"axis {name}: extent {ext} not divisible by factor {f}")
-        if self.vocab < 2:
-            raise ConfigError(f"vocab must be >= 2, got {self.vocab}")
 
     @property
     def factor(self) -> int:
@@ -340,8 +362,8 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and v >= 0
 
 
-def _read_buffer(blob: bytes, base: int, name: str, meta, path) -> np.ndarray:
-    """One manifest entry -> a native-order copy of its bytes after ``base``."""
+def _buffer_meta(name: str, meta, path) -> tuple:
+    """One manifest entry, checked -> (dtype, extents, offset in the data region)."""
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: manifest entry {name} is not an object")
     tag, extents, offset = meta.get("dtype"), meta.get("extents"), meta.get("offset")
@@ -351,33 +373,21 @@ def _read_buffer(blob: bytes, base: int, name: str, meta, path) -> np.ndarray:
         raise DataError(f"checkpoint {path}: buffer {name} has bad extents {extents!r}")
     if not _is_count(offset):
         raise DataError(f"checkpoint {path}: buffer {name} has bad offset {offset!r}")
-    dt = _NP_TAGS[tag]
-    count = math.prod(extents)
-    start = base + offset
-    if start + count * dt.itemsize > len(blob):
-        raise DataError(f"truncated checkpoint {path}: buffer {name}")
-    arr = np.frombuffer(blob, dtype=dt, offset=start, count=count)
-    return arr.reshape(extents).astype(dt.newbyteorder("="), copy=True)
+    return _NP_TAGS[tag], tuple(extents), offset
 
 
 def load_checkpoint(path):
     """Returns (ModelState, extra dict); bit-exact round-trip with save.
 
-    The header is checked before any of its values is used: a malformed file
-    raises DataError and nothing else.
+    The header is checked before any of its values is used, and every buffer
+    but the ``extra.*`` ones against the architecture its config builds: a
+    malformed file raises DataError and nothing else.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MCK_MAGIC:
-        raise DataError(f"bad checkpoint magic in {path}")
-    if len(blob) < 8:
-        raise DataError(f"truncated checkpoint header in {path}")
-    hlen, = struct.unpack_from("<I", blob, 4)
-    base = 8 + hlen
-    if base > len(blob):
-        raise DataError(f"checkpoint header length {hlen} runs past the end of {path}")
+    blob = tc.read_artifact(path, _MCK_MAGIC)
+    hlen, = tc.unpack_at(blob, "<I", 4, path)
+    raw, = tc.unpack_at(blob, f"<{hlen}s", 8, path)
     try:
-        header = json.loads(blob[8:base].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"corrupt checkpoint header in {path}") from exc
     if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
@@ -385,46 +395,40 @@ def load_checkpoint(path):
                         f"{', '.join(_HEADER_KEYS)}")
     if not isinstance(header["manifest"], dict) or not isinstance(header["config"], dict):
         raise DataError(f"checkpoint header in {path}: manifest and config must be objects")
-    buffers = {name: _read_buffer(blob, base, name, meta, path)
-               for name, meta in header["manifest"].items()}
-
-    params = {}
-    extra = {}
-    codebook_entries = None
-    usage = None
-    for name, arr in buffers.items():
-        if name == "codebook.entries":
-            codebook_entries = arr
-        elif name == "codebook.usage":
-            usage = arr
-        elif name.startswith("extra."):
-            extra[name[len("extra."):]] = arr
-        else:
-            params[name] = Tensor(arr, requires_grad=True)
-    if codebook_entries is None:
-        raise DataError(f"checkpoint {path} has no codebook entries")
     try:
         config = ModelConfig(**header["config"])
-        book = Codebook(Tensor(codebook_entries, requires_grad=True), usage)
         step, seed = int(header["step"]), int(header["seed"])
     except (TypeError, ValueError, OverflowError) as exc:  # incl. ConfigError
         raise DataError(f"invalid checkpoint header in {path}: {exc}") from exc
-    if book.usage.shape != (book.vocab,):
-        raise DataError(f"checkpoint {path}: codebook usage has extents "
-                        f"{book.usage.shape}, expected ({book.vocab},)")
     has_discriminator = bool(header["has_discriminator"])
+    buffers = {name: _buffer_meta(name, meta, path)
+               for name, meta in header["manifest"].items()}
+    extras = {name: buffers.pop(name) for name in list(buffers) if name.startswith("extra.")}
+
     layout = param_layout(config, has_discriminator)
     layout["codebook.entries"] = (config.vocab, config.embed_dim)
-    found = {**params, "codebook.entries": book.entries}
-    if found.keys() != layout.keys():
-        missing = sorted(layout.keys() - found.keys())
-        unknown = sorted(found.keys() - layout.keys())
+    layout["codebook.usage"] = (config.vocab,)
+    if buffers.keys() != layout.keys():
+        missing = sorted(layout.keys() - buffers.keys())
+        unknown = sorted(buffers.keys() - layout.keys())
         raise DataError(f"checkpoint {path} does not match its config: "
                         f"missing {missing}, unknown {unknown}")
     for name, extents in layout.items():
-        if found[name].shape != extents:
+        if buffers[name][1] != extents:
             raise DataError(f"checkpoint {path}: buffer {name} has extents "
-                            f"{found[name].shape}, config expects {extents}")
+                            f"{buffers[name][1]}, config expects {extents}")
+
+    def read(meta) -> np.ndarray:
+        dtype, extents, offset = meta
+        return tc.array_at(blob, dtype, extents, 8 + hlen + offset, path)
+
+    try:
+        book = Codebook(Tensor(read(buffers.pop("codebook.entries")), requires_grad=True),
+                        read(buffers.pop("codebook.usage")))
+    except ValueError as exc:  # non-finite entries
+        raise DataError(f"invalid codebook in {path}: {exc}") from exc
+    params = {name: Tensor(read(meta), requires_grad=True) for name, meta in buffers.items()}
+    extra = {name[len("extra."):]: read(meta) for name, meta in extras.items()}
     state = ModelState(config, params, book, step=step, seed=seed,
                        has_discriminator=has_discriminator)
     return state, extra

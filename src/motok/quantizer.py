@@ -72,12 +72,6 @@ class QuantizeResult:
     e_sel: Tensor               # selected entries, differentiable wrt codebook
     commit_residual: float      # eval-time commitment term (the Q-loss metric)
 
-    @property
-    def grid(self) -> TokenGrid:
-        if len(self.grids) != 1:
-            raise StateError(f"batch holds {len(self.grids)} grids, not 1")
-        return self.grids[0]
-
 
 def init_codebook(vocab: int, dim: int, seed: int) -> Codebook:
     """Entries drawn uniformly from [-1/V, 1/V], deterministic per seed."""
@@ -190,16 +184,7 @@ def save_tokens(path, grid: TokenGrid) -> None:
 
 
 def load_tokens(path) -> TokenGrid:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MTK_MAGIC:
-        raise DataError(f"bad token file magic in {path}")
-    if len(blob) < 20:
-        raise DataError(f"truncated token file {path}: {len(blob)}-byte header")
-    vocab, = struct.unpack_from("<I", blob, 4)
-    extents = struct.unpack_from("<3I", blob, 8)
-    count = extents[0] * extents[1] * extents[2]
-    if len(blob) != 20 + 2 * count:
-        raise DataError(f"truncated token file {path}")
-    idx = np.frombuffer(blob, dtype="<u2", offset=20, count=count).astype(np.int64)
-    return TokenGrid(extents, idx.reshape(extents), vocab)
+    blob = tc.read_artifact(path, _MTK_MAGIC)
+    vocab, *extents = tc.unpack_at(blob, "<4I", 4, path)
+    idx = tc.array_at(blob, "<u2", extents, 20, path, ends_file=True)
+    return TokenGrid(extents, idx, vocab)

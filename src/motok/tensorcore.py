@@ -46,27 +46,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -97,31 +76,31 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every recorded tensor reachable from ``loss``."""
+        """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf reachable
+        from ``loss`` that requires a gradient.
+
+        A leaf is a tensor no node on this tape produced. ``.grad`` lands on
+        leaves only: each node's output gradient is dropped once the node
+        has consumed it, so intermediates, the loss among them, get none.
+        """
         if loss.size != 1:
             raise ArgumentError(f"backward requires a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, tuple] = {id(loss): (loss, np.ones_like(loss.data))}
         for node in reversed(self.nodes):
-            out_grad = grads.get(id(node.output))
-            if out_grad is None:
+            entry = grads.pop(id(node.output), None)
+            if entry is None:
                 continue
-            in_grads = node.backward_fn(out_grad)
+            in_grads = node.backward_fn(entry[1])
             for tensor, g in zip(node.inputs, in_grads):
                 if g is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
                 if key in grads:
-                    grads[key] = grads[key] + g
+                    grads[key] = (tensor, grads[key][1] + g)
                 else:
-                    grads[key] = g.astype(tensor.dtype, copy=False)
-        seen: dict[int, Tensor] = {}
-        for node in self.nodes:
-            for tensor in node.inputs + (node.output,):
-                seen.setdefault(id(tensor), tensor)
-        seen.setdefault(id(loss), loss)
-        for key, tensor in seen.items():
-            g = grads.get(key)
-            if g is not None and tensor.requires_grad:
+                    grads[key] = (tensor, g.astype(tensor.dtype, copy=False))
+        for tensor, g in grads.values():
+            if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
@@ -386,17 +365,13 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     wo = (wp - kw) // sw + 1
 
     pad = ((0, 0), (pt, pt), (ph, ph), (pw, pw))
-    pointwise = (kt, kh, kw) == (1, 1, 1) and stride == (1, 1, 1) and padding == (0, 0, 0)
     w2 = weight.data.reshape(co, c * kt * kh * kw)
     p = to * ho * wo
     keep_cols = weight.requires_grad and active_tape() is not None
     saved = []
     out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
     for b in range(n):
-        if pointwise:
-            cols = x.data[b].reshape(c, p)
-        else:
-            cols = _im2col(np.pad(x.data[b], pad), (kt, kh, kw), stride, (to, ho, wo))
+        cols = _im2col(np.pad(x.data[b], pad), (kt, kh, kw), stride, (to, ho, wo))
         np.matmul(w2, cols, out=out[b])
         if keep_cols:
             saved.append(cols)
@@ -416,13 +391,9 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             gw = gw.reshape(weight.shape)
         if x.requires_grad:
             gx = np.empty(x.shape, dtype=x.dtype)
-            gxp = None if pointwise else np.empty((c, tp, hp, wp), dtype=x.dtype)
+            gxp = np.empty((c, tp, hp, wp), dtype=x.dtype)
             for b in range(n):
-                dcols = np.matmul(w2.T, g2[b])
-                if pointwise:
-                    gx[b] = dcols.reshape(c, t, h, w)
-                    continue
-                dcols = dcols.reshape(c, kt, kh, kw, to, ho, wo)
+                dcols = np.matmul(w2.T, g2[b]).reshape(c, kt, kh, kw, to, ho, wo)
                 gxp.fill(0)
                 for i in range(kt):
                     for j in range(kh):
@@ -491,6 +462,48 @@ def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
 
 
 # ---------------------------------------------------------------------------
+# Bounded artifact reading, shared by the MHT1 loader below, MTK1 (quantizer)
+# and MCK1 (model): every read is checked against the length of the file, so
+# a truncated or corrupt file raises DataError and nothing else.
+# ---------------------------------------------------------------------------
+
+def read_artifact(path, magic: bytes) -> bytes:
+    """The bytes of the file at ``path``, which must start with ``magic``."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:len(magic)] != magic:
+        raise DataError(f"bad magic in {path}: expected {magic!r}")
+    return blob
+
+
+def unpack_at(blob: bytes, fmt: str, offset: int, path) -> tuple:
+    """``struct.unpack_from(fmt, blob, offset)``, or DataError when the
+    fields do not lie inside the file."""
+    end = offset + struct.calcsize(fmt)
+    if offset < 0 or end > len(blob):
+        raise DataError(f"truncated file {path}: {fmt!r} at byte {offset} "
+                        f"ends at byte {end}, the file has {len(blob)}")
+    return struct.unpack_from(fmt, blob, offset)
+
+
+def array_at(blob: bytes, dtype, shape, offset: int, path,
+             ends_file: bool = False) -> np.ndarray:
+    """Native-order copy of the ``dtype`` array of ``shape`` stored at ``offset``.
+
+    DataError when the array does not lie inside the file or, with
+    ``ends_file``, when any bytes follow it.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)  # Python ints: huge extents cannot wrap
+    end = offset + count * dtype.itemsize
+    if offset < 0 or end > len(blob) or (ends_file and end != len(blob)):
+        raise DataError(f"{path}: {count} x {dtype} at byte {offset} ends at byte "
+                        f"{end}, the file has {len(blob)}")
+    arr = np.frombuffer(blob, dtype=dtype, offset=offset, count=count)
+    return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+
+
+# ---------------------------------------------------------------------------
 # "MHT1" tensor file format: magic, u8 dtype tag (0=f32, 1=f64), u8 rank,
 # rank x u32 little-endian extents, then raw little-endian values.
 # ---------------------------------------------------------------------------
@@ -511,23 +524,9 @@ def save_tensor(path, array) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MHT_MAGIC:
-        raise DataError(f"bad tensor file magic in {path}")
-    if len(blob) < 6:
-        raise DataError(f"truncated tensor file {path}: {len(blob)}-byte header")
-    tag, rank = struct.unpack_from("<BB", blob, 4)
+    blob = read_artifact(path, _MHT_MAGIC)
+    tag, rank = unpack_at(blob, "<BB", 4, path)
     if tag not in _DTYPE_TAGS:
         raise DataError(f"unknown dtype tag {tag} in {path}")
-    offset = 6 + 4 * rank
-    if len(blob) < offset:
-        raise DataError(f"truncated tensor file {path}: no room for {rank} extents")
-    shape = struct.unpack_from(f"<{rank}I", blob, 6)
-    dtype = _DTYPE_TAGS[tag]
-    count = math.prod(shape)
-    expected = offset + count * dtype.itemsize
-    if len(blob) != expected:
-        raise DataError(f"truncated tensor file {path}: {len(blob)} bytes, expected {expected}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=offset, count=count).reshape(shape)
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    shape = unpack_at(blob, f"<{rank}I", 6, path)
+    return array_at(blob, _DTYPE_TAGS[tag], shape, 6 + 4 * rank, path, ends_file=True)

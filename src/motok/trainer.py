@@ -9,6 +9,7 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import quantizer as qz
 from . import tensorcore as tc
 from .errors import ArgumentError, TrainingError
 from .heatmap import HeatmapVolume, KeypointSequence
-from .model import ModelConfig, ModelState, stream_rng
+from .model import ModelConfig, ModelState, check_number, stream_rng
 from .tensorcore import Tape, Tensor
 
 
@@ -180,6 +181,15 @@ class TrainerConfig:
     commitment: float = 1.0
     checkpoint_every: int = 0        # 0: only final
     reinit_dead_every: int = 0       # 0: dead-entry reseeding off
+
+    def __post_init__(self):
+        for name, low in (("batch_size", 1), ("warmup_steps", 0), ("checkpoint_every", 0),
+                          ("reinit_dead_every", 0)):
+            check_number(name, getattr(self, name), low, integer=True)
+        for name in ("grad_clip", "lr", "eps", "weight_decay", "commitment"):
+            check_number(name, getattr(self, name), 0.0)
+        for name in ("beta1", "beta2"):
+            check_number(name, getattr(self, name), 0.0, math.nextafter(1.0, 0.0))
 
 
 @dataclass

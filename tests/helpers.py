@@ -1,10 +1,12 @@
-"""Shared test utilities: central finite-difference gradient checking and
-checkpoint-header surgery."""
+"""Shared test utilities: central finite-difference gradient checking,
+checkpoint-header surgery and artifact corruption."""
 
 import json
 import struct
 
 import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from motok.tensorcore import Tape, Tensor, backward
 
@@ -64,3 +66,27 @@ def rewrite_checkpoint_header(src, dst, edit):
     raw = json.dumps(header if new is None else new).encode("utf-8")
     with open(dst, "wb") as f:
         f.write(blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + hlen:])
+
+
+# Each example rewrites the same file in a test's tmp_path, so sharing the
+# function-scoped fixture across examples is intended. Derandomized, so every
+# run tries the same edits.
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def corruptions(size, head=None):
+    """Strategy for one edit of a ``size``-byte file: ``(n, None)`` truncates it
+    to ``n`` bytes, ``(i, v)`` overwrites byte ``i`` (one of the first ``head``
+    bytes when given) with ``v``."""
+    cut = st.integers(0, size - 1).map(lambda n: (n, None))
+    put = st.tuples(st.integers(0, (head or size) - 1), st.integers(0, 255))
+    return st.one_of(cut, put)
+
+
+def corrupt(blob, edit):
+    """``blob`` with one edit drawn from ``corruptions`` applied."""
+    at, value = edit
+    if value is None:
+        return blob[:at]
+    return blob[:at] + bytes([value]) + blob[at + 1:]

@@ -207,7 +207,7 @@ class TestCriterion2:
             latent = Tensor(np.moveaxis(z, 1, 0)[None, :, :, None, None])
             res = qz.quantize(latent, book)
             want = brute_force_nearest(z, entries)
-            assert np.array_equal(res.grid.indices.ravel(), want), vocab
+            assert np.array_equal(res.grids[0].indices.ravel(), want), vocab
             total += len(z)
         assert total == 1000
 

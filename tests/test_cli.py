@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motok import cli
 from motok import heatmap as hm
@@ -11,7 +13,7 @@ from motok import model as mdl
 from motok import tensorcore as tc
 from motok import trainer as tr
 
-from helpers import rewrite_checkpoint_header
+from helpers import FUZZ, corrupt, corruptions, rewrite_checkpoint_header
 
 
 TINY_CONFIG = {
@@ -116,6 +118,25 @@ class TestTrain:
                          "--data", str(workspace["keypoints"]),
                          "--steps", "1", "--out", str(tmp_path / "o")]) == 3
 
+    # Each edit turns TINY_CONFIG into one with a value of the wrong type or range.
+    BAD_CONFIGS = {
+        "top-level-array": lambda c: [c],
+        "model-not-object": lambda c: {**c, "model": [1]},
+        "window-stride-string": lambda c: {**c, "window_stride": "abc"},
+        "two-input-extents": lambda c: {**c, "model": {**c["model"], "input_extents": [8, 16]}},
+        "base-channels-string": lambda c: {**c, "model": {**c["model"], "base_channels": "4"}},
+        "batch-size-zero": lambda c: {**c, "trainer": {**c["trainer"], "batch_size": 0}},
+        "unknown-mode": lambda c: {**c, "model": {**c["model"], "mode": "3d"}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_value_code(self, workspace, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.BAD_CONFIGS[case](TINY_CONFIG)))
+        assert cli.main(["train", "--config", str(bad),
+                         "--data", str(workspace["keypoints"]),
+                         "--steps", "1", "--out", str(tmp_path / "o")]) == 3
+
     def test_missing_data_io_code(self, workspace, tmp_path):
         assert cli.main(["train", "--config", str(workspace["config"]),
                          "--data", str(tmp_path / "nope.jsonl"),
@@ -189,6 +210,32 @@ class TestTokenizeDetokenize:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 5
 
 
+    @settings(FUZZ, max_examples=25)
+    @given(data=st.data())
+    def test_corrupt_checkpoint_never_crashes(self, workspace, tmp_path, data):
+        blob = workspace["ckpt"].read_bytes()
+        head = 8 + int.from_bytes(blob[4:8], "little")
+        bad = tmp_path / "bad.mck"
+        bad.write_bytes(corrupt(blob, data.draw(corruptions(len(blob), head))))
+        assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
+                         "--stride", "8", "--out", str(tmp_path / "t.mtk")]) in (0, 5)
+
+    @pytest.fixture(scope="class")
+    def tokens(self, workspace):
+        out = workspace["root"] / "one_window.mtk"
+        assert cli.main(["tokenize", "--ckpt", str(workspace["ckpt"]),
+                         "--in", str(workspace["keypoints"]), "--out", str(out)]) == 0
+        return out
+
+    @settings(FUZZ, max_examples=25)
+    @given(data=st.data())
+    def test_corrupt_tokens_never_crash(self, workspace, tokens, tmp_path, data):
+        blob = tokens.read_bytes()
+        bad = tmp_path / "bad.mtk"
+        bad.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
+        assert cli.main(["detokenize", "--ckpt", str(workspace["ckpt"]), "--tokens", str(bad),
+                         "--out", str(tmp_path / "v.mht")]) in (0, 5)
+
     # Parameter buffers that do not fit the architecture the header's config builds.
     CONFIG_MISMATCH = {
         "stem-weight-extents": lambda h: h["manifest"]["enc.stem.w"].update(extents=[1]),
@@ -200,6 +247,13 @@ class TestTokenizeDetokenize:
     def test_checkpoint_not_matching_config_code(self, workspace, tmp_path, case):
         bad = tmp_path / "bad.mck"
         rewrite_checkpoint_header(workspace["ckpt"], bad, self.CONFIG_MISMATCH[case])
+        assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
+                         "--out", str(tmp_path / "out")]) == 5
+
+    def test_checkpoint_bad_config_value_code(self, workspace, tmp_path):
+        bad = tmp_path / "bad.mck"
+        rewrite_checkpoint_header(workspace["ckpt"], bad,
+                                  lambda h: h["config"].update(sigma="x"))
         assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
                          "--out", str(tmp_path / "out")]) == 5
 

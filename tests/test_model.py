@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motok import model as mdl
 from motok.errors import ArgumentError, ConfigError, DataError, ShapeError
@@ -7,7 +9,7 @@ from motok.model import ModelConfig
 from motok.quantizer import TokenGrid
 from motok.tensorcore import Tensor
 
-from helpers import rewrite_checkpoint_header
+from helpers import FUZZ, corrupt, corruptions, rewrite_checkpoint_header
 
 
 def small_config(**kw):
@@ -72,6 +74,15 @@ class TestConfig:
     def test_tiny_vocab(self):
         with pytest.raises(ConfigError):
             small_config(vocab=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", True), ("vocab", 32.0), ("compression", ["F8"]), ("mode", "3d"),
+        ("sigma", 0.0), ("sigma", float("nan")), ("lambda_adv", float("inf")),
+        ("beta_l1", -1.0), ("input_extents", (0, 16, 16)), ("input_extents", "abc"),
+    ])
+    def test_bad_field_value(self, field, value):
+        with pytest.raises(ConfigError):
+            small_config(**{field: value})
 
 
 class TestBuild:
@@ -249,6 +260,11 @@ BAD_HEADERS = {
         {"enc.extra.w": h["manifest"]["enc.stem.b"]}),
     "entries-extents": lambda h: h["manifest"]["codebook.entries"].update(extents=[32, 4]),
     "discriminator-flag": lambda h: h.update(has_discriminator=False),
+    "usage-missing": lambda h: {**h, "manifest": {
+        k: v for k, v in h["manifest"].items() if k != "codebook.usage"}},
+    "sigma-not-number": lambda h: h["config"].update(sigma="x"),
+    "base-channels-string": lambda h: h["config"].update(base_channels="4"),
+    "unknown-mode": lambda h: h["config"].update(mode="3d"),
 }
 
 
@@ -271,6 +287,18 @@ class TestCheckpointHeader:
         p.write_bytes(b"MCK1" + (1000).to_bytes(4, "little") + b"{}")
         with pytest.raises(DataError):
             mdl.load_checkpoint(p)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_corrupt_header_loads_or_is_data_error(self, valid, tmp_path, data):
+        blob = valid.read_bytes()
+        head = 8 + int.from_bytes(blob[4:8], "little")
+        p = tmp_path / "bad.mck"
+        p.write_bytes(corrupt(blob, data.draw(corruptions(len(blob), head))))
+        try:
+            mdl.load_checkpoint(p)
+        except DataError:
+            pass
 
     def test_unedited_header_loads(self, valid, tmp_path):
         p = tmp_path / "same.mck"

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motok import quantizer as qz
 from motok import tensorcore as tc
 from motok.errors import ArgumentError, DataError, ShapeError, StateError
 from motok.quantizer import Codebook, TokenGrid
 from motok.tensorcore import Tape, Tensor, backward
+
+from helpers import FUZZ, corrupt, corruptions
 
 
 def brute_force_nearest(z_flat, entries):
@@ -33,7 +37,7 @@ class TestQuantize:
     def test_two_entry_book(self):
         book = Codebook(Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]), requires_grad=True))
         res = qz.quantize(as_latent([[0.9, 0.8]]), book)
-        assert res.grid.indices.ravel().tolist() == [1]
+        assert res.grids[0].indices.ravel().tolist() == [1]
         assert np.allclose(res.z_q.numpy().ravel(), [1.0, 1.0])
 
     def test_exact_entry_zero_residual(self):
@@ -41,7 +45,7 @@ class TestQuantize:
         entries = rng.normal(size=(8, 3))
         book = Codebook(Tensor(entries, requires_grad=True))
         res = qz.quantize(as_latent([entries[3]]), book)
-        assert res.grid.indices.ravel().tolist() == [3]
+        assert res.grids[0].indices.ravel().tolist() == [3]
         assert res.commit_residual == 0.0
 
     def test_matches_brute_force(self):
@@ -50,13 +54,13 @@ class TestQuantize:
         book = Codebook(Tensor(entries, requires_grad=True))
         z = rng.normal(size=(50, 4))
         res = qz.quantize(as_latent(z), book)
-        assert np.array_equal(res.grid.indices.ravel(), brute_force_nearest(z, entries))
+        assert np.array_equal(res.grids[0].indices.ravel(), brute_force_nearest(z, entries))
 
     def test_duplicate_entries_pick_lowest(self):
         e = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         book = Codebook(Tensor(e, requires_grad=True))
         res = qz.quantize(as_latent([[0.1, -0.1]]), book)
-        assert res.grid.indices.ravel().tolist() == [1]
+        assert res.grids[0].indices.ravel().tolist() == [1]
 
     def test_usage_counting(self):
         book = qz.init_codebook(4, 2, seed=0)
@@ -200,3 +204,15 @@ class TestTokenFile:
             p.write_bytes(blob[:n])
             with pytest.raises(DataError):
                 qz.load_tokens(p)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_corrupt_file_loads_or_is_data_error(self, tmp_path, data):
+        p = tmp_path / "t.mtk"
+        qz.save_tokens(p, TokenGrid((1, 2, 3), np.arange(6).reshape(1, 2, 3), 8))
+        blob = p.read_bytes()
+        p.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
+        try:
+            qz.load_tokens(p)
+        except DataError:
+            pass

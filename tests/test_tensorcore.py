@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motok import tensorcore as tc
 from motok.errors import ArgumentError, DataError, ShapeError
 from motok.tensorcore import Tape, Tensor, backward
 
-from helpers import check_grads
+from helpers import FUZZ, check_grads, corrupt, corruptions
 
 
 def conv3d_reference(x, w, b, stride, padding):
@@ -403,3 +405,16 @@ class TestTensorFile:
             p.write_bytes(blob[:n])
             with pytest.raises(DataError):
                 tc.load_tensor(p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @FUZZ
+    @given(data=st.data())
+    def test_corrupt_file_loads_or_is_data_error(self, tmp_path, dtype, data):
+        p = tmp_path / "t.mht"
+        tc.save_tensor(p, np.arange(6, dtype=dtype).reshape(2, 1, 3))
+        blob = p.read_bytes()
+        p.write_bytes(corrupt(blob, data.draw(corruptions(len(blob)))))
+        try:
+            tc.load_tensor(p)
+        except DataError:
+            pass

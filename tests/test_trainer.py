@@ -5,7 +5,7 @@ import pytest
 
 from motok import model as mdl
 from motok import trainer as tr
-from motok.errors import ArgumentError, TrainingError
+from motok.errors import ArgumentError, ConfigError, TrainingError
 from motok.model import ModelConfig
 from motok.tensorcore import Tensor
 from motok.trainer import OptimState, SyntheticMotionSpec, TrainerConfig
@@ -167,6 +167,16 @@ class TestPrepareWindows:
         cfg = tiny_config()
         with pytest.raises(ArgumentError):
             tr.prepare_windows(cfg, [np.zeros((8, 3, 16, 16), dtype=np.float32)])
+
+
+class TestTrainerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", 2.0), ("warmup_steps", -1), ("lr", "1e-3"),
+        ("beta1", 1.0), ("eps", float("nan")), ("checkpoint_every", True),
+    ])
+    def test_bad_field_value(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainerConfig(**{field: value})
 
 
 class TestClipGrads:
