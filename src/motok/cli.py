@@ -15,8 +15,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import heatmap as hm
 from . import metrics as mx
@@ -32,7 +30,12 @@ CONFIG_SCHEMA = 1
 
 def _resolve_seed(seed: int) -> int:
     env = os.environ.get("MOTOK_SEED")
-    return int(env) if env else int(seed)
+    if not env:
+        return int(seed)
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"MOTOK_SEED must be an integer, got {env!r}") from exc
 
 
 def write_manifest(path: Path, command: str, config: dict, seed: int,
@@ -162,11 +165,11 @@ def cmd_detokenize(args) -> int:
     grid = qz.load_tokens(args.tokens)
     vol = mdl.decode(state, grid)
     out = Path(args.out)
-    tc.save_tensor(out, vol.values.astype(np.float32))
+    tc.save_tensor(out, vol)
     write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "detokenize",
                    {"ckpt": str(args.ckpt)}, state.seed,
                    [args.ckpt, args.tokens], [out], started)
-    print(f"reconstructed volume {vol.values.shape} -> {out}")
+    print(f"reconstructed volume {vol.shape} -> {out}")
     return 0
 
 
@@ -175,8 +178,7 @@ def cmd_eval(args) -> int:
     state, _ = mdl.load_checkpoint(args.ckpt)
     windows = tr.prepare_windows(state.config,
                                  _load_items(args.data, state.config, args.stride))
-    frame_major = [np.moveaxis(w, 0, 1) for w in windows]  # [F,C,H,W]
-    report = mx.evaluate(state, frame_major, model_tag=args.tag)
+    report = mx.evaluate(state, windows, model_tag=args.tag)
     out = Path(args.out)
     mx.write_report_csv(out, [report])
     json_out = out.with_suffix(".json")

@@ -172,6 +172,8 @@ def load_keypoints(path) -> KeypointSequence:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise DataError(f"{path}:{lineno}: keypoint record is not a JSON object")
                 coords.append(rec["kp"])
                 valid.append(rec["valid"])
             except (json.JSONDecodeError, KeyError) as exc:

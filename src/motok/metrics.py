@@ -1,9 +1,10 @@
 """Reconstruction quality suite: SSIM, PSNR, L1, T-Std, Q-Loss.
 
-All metrics are deterministic pure functions over numpy arrays. ``evaluate``
-runs a model over a dataset of heatmap windows and assembles one report row
-(the same column set as the quantitative comparison table: model, compression,
-vocab, ssim, psnr, l1, tstd, qloss).
+All metrics (``ssim``, ``psnr``, ``l1``, ``tstd``, ``qloss``) are
+deterministic pure functions over numpy arrays. ``evaluate`` runs a model over
+a dataset of heatmap windows and assembles one report row (the same column set
+as the quantitative comparison table: model, compression, vocab, ssim, psnr,
+l1, tstd, qloss).
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model as mdl
-from .quantizer import quantize
 from .errors import ArgumentError, ShapeError
-from .heatmap import HeatmapVolume
 
 PSNR_CAP_DB = 100.0
 
@@ -27,10 +26,6 @@ SSIM_WINDOW = 7
 SSIM_SIGMA = 1.5
 SSIM_C1 = (0.01) ** 2  # (0.01 * L)^2 with L = 1
 SSIM_C2 = (0.03) ** 2
-
-
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, HeatmapVolume) else np.asarray(v)
 
 
 def _ssim_kernel() -> np.ndarray:
@@ -44,8 +39,8 @@ def _ssim_kernel() -> np.ndarray:
 def ssim(x, y) -> float:
     """Windowed SSIM with a 7x7 Gaussian window, averaged over windows,
     channels, and frames. Last two axes are spatial."""
-    xv = _values(x).astype(np.float64)
-    yv = _values(y).astype(np.float64)
+    xv = np.asarray(x).astype(np.float64)
+    yv = np.asarray(y).astype(np.float64)
     if xv.shape != yv.shape:
         raise ShapeError(f"ssim extent mismatch: {xv.shape} vs {yv.shape}")
     h, w = xv.shape[-2:]
@@ -74,8 +69,8 @@ def ssim(x, y) -> float:
 
 def psnr(x, y, max_val: float = 1.0) -> float:
     """10 log10(max^2 / MSE) in dB; identical inputs return the 100 dB cap."""
-    xv = _values(x).astype(np.float64)
-    yv = _values(y).astype(np.float64)
+    xv = np.asarray(x).astype(np.float64)
+    yv = np.asarray(y).astype(np.float64)
     if xv.shape != yv.shape:
         raise ShapeError(f"psnr extent mismatch: {xv.shape} vs {yv.shape}")
     if max_val <= 0:
@@ -88,8 +83,8 @@ def psnr(x, y, max_val: float = 1.0) -> float:
 
 def l1(x, y) -> float:
     """Mean absolute pixel-wise error."""
-    xv = _values(x).astype(np.float64)
-    yv = _values(y).astype(np.float64)
+    xv = np.asarray(x).astype(np.float64)
+    yv = np.asarray(y).astype(np.float64)
     if xv.shape != yv.shape:
         raise ShapeError(f"l1 extent mismatch: {xv.shape} vs {yv.shape}")
     return float(np.mean(np.abs(xv - yv)))
@@ -103,7 +98,7 @@ def tstd(v) -> float:
     as-is since it is a constant factor per resolution.
     Note the value is frame-permutation invariant by construction.
     """
-    vv = _values(v).astype(np.float64)
+    vv = np.asarray(v).astype(np.float64)
     if vv.ndim == 3:
         vv = vv[:, None]  # [F,H,W] -> [F,1,H,W]
     if vv.ndim != 4:
@@ -113,6 +108,21 @@ def tstd(v) -> float:
     inner = np.sqrt(np.mean((vv - mu) ** 2, axis=(2, 3)))  # [F,C]
     per_channel = inner.sum(axis=0) / (f * h * w)
     return float(per_channel.mean())
+
+
+def qloss(z_e, indices, entries) -> float:
+    """Q-loss: the VQ commitment term ||z_e - e||^2 (van den Oord et al. 2017)
+    between each latent vector of ``z_e`` [N,d,t,h,w] and the codebook entry
+    ``indices`` selects for it, averaged over lattice positions."""
+    z = np.asarray(z_e)
+    if z.ndim != 5:
+        raise ShapeError(f"qloss expects [N,d,t,h,w] latents, got {z.shape}")
+    flat = np.moveaxis(z, 1, 4).reshape(-1, z.shape[1])
+    idx = np.asarray(indices).reshape(-1)
+    if idx.size != flat.shape[0]:
+        raise ShapeError(f"{idx.size} indices for {flat.shape[0]} latent positions")
+    diff = flat - np.asarray(entries)[idx].astype(flat.dtype)
+    return float(np.sum(diff * diff) / flat.shape[0])
 
 
 @dataclass
@@ -137,33 +147,27 @@ class MetricsReport:
 REPORT_COLUMNS = ["model", "compression", "vocab", "ssim", "psnr", "l1", "tstd", "qloss"]
 
 
-def evaluate(state, dataset, model_tag: str = "VQ-GAN") -> MetricsReport:
+def evaluate(state, windows, model_tag: str = "VQ-GAN") -> MetricsReport:
     """Reconstruct every window through encode/decode and average the metrics.
 
-    ``dataset`` is a sequence of frame-major heatmap windows ([F,C,H,W] arrays
-    or HeatmapVolume). Each window is decoded from its token grid by
+    ``windows`` are the [C,T,H,W] arrays ``trainer.prepare_windows`` returns.
+    Each one is encoded by ``model.encode`` and decoded from its token grid by
     ``model.decode``, so the scores are those of the volume ``detokenize``
-    writes. Q-loss is the quantizer's evaluation-time commitment residual,
-    averaged over windows.
+    writes. Q-loss is averaged over windows like the other metrics.
     """
-    windows = list(dataset)
+    windows = list(windows)
     if not windows:
         raise ArgumentError("evaluate requires a non-empty dataset")
-    sums = np.zeros(4)
-    qsum = 0.0
+    sums = np.zeros(5)
     for win in windows:
-        x = _values(win).astype(np.float32)
-        batch = np.moveaxis(x, 0, 1)[None]  # [1,C,F,H,W]
-        z_e = mdl.encoder_forward(state, mdl.Tensor(batch))
-        result = quantize(z_e, state.codebook)
-        xhat = mdl.decode(state, result.grids[0]).values  # [F,C,H,W]
-        sums += [ssim(x, xhat), psnr(x, xhat), l1(x, xhat), tstd(xhat)]
-        qsum += result.commit_residual
-    n = len(windows)
+        z_e, grid, _ = mdl.encode(state, win[None])
+        x = np.moveaxis(win, 0, 1)  # [T,C,H,W], as decode returns
+        xhat = mdl.decode(state, grid)
+        sums += [ssim(x, xhat), psnr(x, xhat), l1(x, xhat), tstd(xhat),
+                 qloss(z_e.data, grid.indices, state.codebook.entries.data)]
+    means = sums / len(windows)
     cfg = state.config
-    return MetricsReport(model_tag, cfg.compression, cfg.vocab,
-                         sums[0] / n, sums[1] / n, sums[2] / n, sums[3] / n,
-                         qsum / n)
+    return MetricsReport(model_tag, cfg.compression, cfg.vocab, *means)
 
 
 def write_report_csv(path, reports) -> None:

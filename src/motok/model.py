@@ -21,7 +21,6 @@ import numpy as np
 from . import quantizer as qz
 from . import tensorcore as tc
 from .errors import ArgumentError, ConfigError, DataError, ShapeError
-from .heatmap import LAYOUT_2D, HeatmapVolume
 from .quantizer import Codebook, TokenGrid
 from .tensorcore import Tensor
 
@@ -216,27 +215,6 @@ def _resblock(state, name, x):
     return tc.add(x, h)
 
 
-def _as_batch(heatmaps) -> np.ndarray:
-    """HeatmapVolume [F,C,H,W] or array [N,C,T,H,W] -> [N,C,T,H,W] f32."""
-    if isinstance(heatmaps, HeatmapVolume):
-        v = np.moveaxis(heatmaps.values, 0, 1)[None]  # [1,C,F,H,W]
-    else:
-        v = np.asarray(heatmaps)
-        if v.ndim == 4:
-            v = np.moveaxis(v, 0, 1)[None]
-    if v.ndim != 5:
-        raise ShapeError(f"expected [N,C,T,H,W] or frame-major volume, got {v.shape}")
-    return v.astype(np.float32, copy=False)
-
-
-def _check_extents(config: ModelConfig, x: np.ndarray) -> None:
-    if x.shape[1] != config.in_channels:
-        raise ShapeError(f"axis C: got {x.shape[1]}, config expects {config.in_channels}")
-    for name, got, want in zip("THW", x.shape[2:], config.input_extents):
-        if got != want:
-            raise ShapeError(f"axis {name}: got {got}, config expects {want}")
-
-
 def encoder_forward(state: ModelState, x: Tensor) -> Tensor:
     h = _conv(state, "enc.stem", x, padding=1)
     for s in range(state.config.stages):
@@ -270,22 +248,27 @@ def discriminator_forward(state: ModelState, x: Tensor) -> Tensor:
     return tc.row_mean(tc.reshape(h, (n, -1)))
 
 
-def encode(state: ModelState, heatmaps):
-    """Run the encoder and quantizer; returns (z_e, grids, z_q).
+def encode(state: ModelState, batch: np.ndarray):
+    """Run the encoder and quantizer on a [N,C,T,H,W] batch; returns (z_e, grids, z_q).
 
     ``grids`` is one TokenGrid for a batch of one and a list of TokenGrids,
     one per batch element, otherwise.
     """
-    x = _as_batch(heatmaps)
-    _check_extents(state.config, x)
+    x = np.asarray(batch, dtype=np.float32)
+    if x.ndim != 5:
+        raise ShapeError(f"encode expects a [N,C,T,H,W] batch, got shape {x.shape}")
+    want = (state.config.in_channels, *state.config.input_extents)
+    for name, got, expected in zip("CTHW", x.shape[1:], want):
+        if got != expected:
+            raise ShapeError(f"axis {name}: got {got}, config expects {expected}")
     z_e = encoder_forward(state, Tensor(x))
     result = qz.quantize(z_e, state.codebook)
     grids = result.grids[0] if len(result.grids) == 1 else result.grids
     return z_e, grids, result.z_q
 
 
-def decode(state: ModelState, grid: TokenGrid) -> HeatmapVolume:
-    """Map a token grid back to a heatmap volume in [0,1]."""
+def decode(state: ModelState, grid: TokenGrid) -> np.ndarray:
+    """Map a token grid back to a frame-major [T,C,H,W] f32 volume in [0,1]."""
     if tuple(grid.extents) != state.config.latent_extents:
         raise ShapeError(f"grid extents {grid.extents} != latent lattice "
                          f"{state.config.latent_extents}")
@@ -295,15 +278,7 @@ def decode(state: ModelState, grid: TokenGrid) -> HeatmapVolume:
     t, h, w = grid.extents
     z_q = np.moveaxis(entries.reshape(1, t, h, w, -1), 4, 1)
     out = decoder_forward(state, Tensor(z_q.astype(np.float32)))
-    frames_major = np.moveaxis(out.data[0], 0, 1)  # [T,C,H,W]
-    return HeatmapVolume(frames_major, LAYOUT_2D, state.config.sigma)
-
-
-def discriminate(state: ModelState, heatmaps) -> Tensor:
-    """One unbounded logit per batch element."""
-    x = _as_batch(heatmaps)
-    _check_extents(state.config, x)
-    return discriminator_forward(state, Tensor(x))
+    return np.moveaxis(out.data[0], 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +333,12 @@ def save_checkpoint(path, state: ModelState, extra: dict = None) -> None:
 _HEADER_KEYS = ("config", "has_discriminator", "manifest", "seed", "step")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_count(v) -> bool:
-    return isinstance(v, int) and v >= 0
+    return _is_int(v) and v >= 0
 
 
 def _buffer_meta(name: str, meta, path) -> tuple:
@@ -395,12 +374,14 @@ def load_checkpoint(path):
                         f"{', '.join(_HEADER_KEYS)}")
     if not isinstance(header["manifest"], dict) or not isinstance(header["config"], dict):
         raise DataError(f"checkpoint header in {path}: manifest and config must be objects")
+    step, seed, has_discriminator = (header[k] for k in ("step", "seed", "has_discriminator"))
+    if not (_is_count(step) and _is_int(seed) and isinstance(has_discriminator, bool)):
+        raise DataError(f"checkpoint header in {path}: step must be an integer >= 0, seed "
+                        "an integer and has_discriminator a boolean")
     try:
         config = ModelConfig(**header["config"])
-        step, seed = int(header["step"]), int(header["seed"])
     except (TypeError, ValueError, OverflowError) as exc:  # incl. ConfigError
         raise DataError(f"invalid checkpoint header in {path}: {exc}") from exc
-    has_discriminator = bool(header["has_discriminator"])
     buffers = {name: _buffer_meta(name, meta, path)
                for name, meta in header["manifest"].items()}
     extras = {name: buffers.pop(name) for name in list(buffers) if name.startswith("extra.")}

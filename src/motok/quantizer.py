@@ -70,7 +70,6 @@ class QuantizeResult:
     z_q: Tensor                 # straight-through output, decoder input
     grids: list                 # one TokenGrid per batch element
     e_sel: Tensor               # selected entries, differentiable wrt codebook
-    commit_residual: float      # eval-time commitment term (the Q-loss metric)
 
 
 def init_codebook(vocab: int, dim: int, seed: int) -> Codebook:
@@ -123,12 +122,9 @@ def quantize(z_e: Tensor, book: Codebook) -> QuantizeResult:
     # Straight-through: forward takes the entry values, backward is identity.
     z_q = tc.add(z_e, Tensor((e_sel.data - z_e.data).astype(z_e.dtype)))
 
-    diff = flat - book.entries.data[idx].astype(flat.dtype)
-    residual = float(np.sum(diff * diff) / flat.shape[0])
-
     grids = [TokenGrid((t, h, w), idx.reshape(n, t, h, w)[i], book.vocab)
              for i in range(n)]
-    return QuantizeResult(z_q, grids, e_sel, residual)
+    return QuantizeResult(z_q, grids, e_sel)
 
 
 def vq_loss(z_e: Tensor, e_sel: Tensor, commitment: float = 1.0) -> Tensor:

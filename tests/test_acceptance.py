@@ -302,10 +302,10 @@ class TestCriterion6:
         margins = []
         for win in tr.prepare_windows(adv_cfg, data)[:4]:
             x = win[None]
-            real = mdl.discriminate(state, x)
+            real = mdl.discriminator_forward(state, Tensor(x))
             _, _, z_q = mdl.encode(state, x)
             recon = mdl.decoder_forward(state, z_q)
-            fake = mdl.discriminate(state, recon.data)
+            fake = mdl.discriminator_forward(state, Tensor(recon.data))
             margins.append(float(real.numpy().mean() - fake.numpy().mean()))
         margin = float(np.mean(margins))
         assert margin > 0.0, margins
@@ -346,8 +346,8 @@ class TestCriterion7:
         fixed = 0
         for win in tr.prepare_windows(fp_cfg, fp_data):
             _, grid1, _ = mdl.encode(trained, win[None])
-            chain_out = mdl.encode(trained, mdl.decode(trained, grid1).values)[1]
-            again = mdl.encode(trained, mdl.decode(trained, chain_out).values)[1]
+            chain_out = mdl.encode(trained, np.moveaxis(mdl.decode(trained, grid1), 0, 1)[None])[1]
+            again = mdl.encode(trained, np.moveaxis(mdl.decode(trained, chain_out), 0, 1)[None])[1]
             assert np.array_equal(chain_out.indices, again.indices)
             fixed += 1
 

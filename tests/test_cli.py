@@ -71,6 +71,11 @@ class TestSynth:
                   "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_seed_env_not_integer_code(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MOTOK_SEED", "abc")
+        assert cli.main(["synth", "--joints", "1", "--frames", "4",
+                         "--out", str(tmp_path / "a.jsonl")]) == 3
+
     def test_bad_family_exit_code(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["synth", "--family", "nope", "--out", str(tmp_path / "x")])
@@ -185,6 +190,13 @@ class TestTokenizeDetokenize:
                          "--in", str(workspace["keypoints"]),
                          "--out", str(tmp_path / "t.mtk")]) == 5
 
+    @pytest.mark.parametrize("record", ["[1]", "5"])
+    def test_keypoint_record_not_object_code(self, workspace, tmp_path, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n")
+        assert cli.main(["tokenize", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
+                         "--out", str(tmp_path / "t.mtk")]) == 5
+
     def test_corrupt_tokens_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.mtk"
         bad.write_bytes(b"XXXX" + b"\x00" * 24)
@@ -271,10 +283,12 @@ class TestEval:
         state, _ = mdl.load_checkpoint(ckpt)
         kp = hm.load_keypoints(workspace["keypoints"])
         win = tr.prepare_windows(state.config, hm.window(kp, 8, 8))[0]
-        x = np.moveaxis(win, 0, 1)  # [F,C,H,W], as cmd_eval passes it
-        report = mx.evaluate(state, [x])
+        x = np.moveaxis(win, 0, 1)  # [F,C,H,W], as detokenize writes it
+        report = mx.evaluate(state, [win])
         assert (report.ssim, report.psnr, report.l1, report.tstd) == \
             (mx.ssim(x, xhat), mx.psnr(x, xhat), mx.l1(x, xhat), mx.tstd(xhat))
+        z_e, grid, _ = mdl.encode(state, win[None])
+        assert report.qloss == mx.qloss(z_e.data, grid.indices, state.codebook.entries.data)
 
     def test_report_files(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.csv"

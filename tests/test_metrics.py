@@ -198,7 +198,7 @@ class TestEvaluate:
     def test_report_fields(self):
         state = self.small_state()
         rng = np.random.default_rng(3)
-        data = [rng.uniform(size=(8, 2, 16, 16)).astype(np.float32)]
+        data = [rng.uniform(size=(2, 8, 16, 16)).astype(np.float32)]
         rep = mt.evaluate(state, data, model_tag="test")
         assert rep.model_tag == "test"
         assert rep.compression == "F8"
@@ -208,7 +208,7 @@ class TestEvaluate:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        data = [rng.uniform(size=(8, 2, 16, 16)).astype(np.float32)]
+        data = [rng.uniform(size=(2, 8, 16, 16)).astype(np.float32)]
         a = mt.evaluate(self.small_state(), data)
         b = mt.evaluate(self.small_state(), data)
         assert a == b

@@ -155,11 +155,11 @@ class TestForward:
         rng = np.random.default_rng(2)
         t, h, w = cfg.input_extents
         frames = rng.uniform(size=(t, cfg.in_channels, h, w)).astype(np.float32)
-        z_e, grid, z_q = mdl.encode(state, frames)
+        z_e, grid, z_q = mdl.encode(state, np.moveaxis(frames, 0, 1)[None])
         assert grid.extents == cfg.latent_extents
         assert grid.vocab == cfg.vocab
         vol = mdl.decode(state, grid)
-        assert vol.values.shape == frames.shape
+        assert vol.shape == frames.shape
 
     def test_batch_encode_matches_single_calls(self):
         cfg = small_config(input_extents=(16, 32, 32))
@@ -176,6 +176,13 @@ class TestForward:
         with pytest.raises(ShapeError) as err:
             mdl.encode(state, np.zeros((1, 2, 8, 16, 8), dtype=np.float32))
         assert "W" in str(err.value)
+
+    def test_encode_rejects_unbatched_window(self):
+        # C == T, so a [C,T,H,W] window would pass any extent check if it
+        # were taken for a frame-major volume and transposed.
+        state = mdl.build(small_config(in_channels=8, input_extents=(8, 16, 16)), seed=0)
+        with pytest.raises(ShapeError):
+            mdl.encode(state, np.zeros((8, 8, 16, 16), dtype=np.float32))
 
     def test_decode_wrong_lattice(self):
         state = mdl.build(small_config(), seed=0)
@@ -252,6 +259,9 @@ BAD_HEADERS = {
     "offset-past-end": lambda h: _first_buffer(h).update(offset=1 << 40),
     "manifest-not-object": lambda h: h.update(manifest=[]),
     "step-not-number": lambda h: h.update(step="x"),
+    "step-numeric-string": lambda h: h.update(step="12"),
+    "seed-float": lambda h: h.update(seed=3.7),
+    "discriminator-flag-string": lambda h: h.update(has_discriminator="no"),
     "usage-extents": lambda h: h["manifest"]["codebook.usage"].update(extents=[3]),
     "param-extents": lambda h: h["manifest"]["enc.stem.w"].update(extents=[1]),
     "param-missing": lambda h: {**h, "manifest": {
