@@ -89,6 +89,29 @@ def _load_items(path, config: mdl.ModelConfig, stride: int) -> list:
     return windows
 
 
+def _log_lines_through(log_path: Path, step: int) -> list:
+    """The lines of an earlier run's loss log up to and including ``step``.
+
+    A run resumed from a checkpoint taken before that run stopped repeats
+    the steps after it, so their old lines must go. A last line without its
+    newline is a write cut short and goes too.
+    """
+    if not log_path.exists():
+        return []
+    kept = []
+    with open(log_path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                if json.loads(line)["step"] > step:
+                    break
+            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+                raise DataError(f"{log_path}:{lineno}: malformed loss log line: {exc}") from exc
+            kept.append(line.decode("utf-8"))
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -120,12 +143,13 @@ def cmd_train(args) -> int:
 
     state = None
     opt_buffers = None
+    log_path = out_dir / "loss_log.jsonl"
+    kept = []
     if args.resume:
         state, opt_buffers = mdl.load_checkpoint(args.resume)
-
-    log_path = out_dir / "loss_log.jsonl"
-    mode = "a" if args.resume else "w"
-    with open(log_path, mode, encoding="utf-8") as log_stream:
+        kept = _log_lines_through(log_path, state.step)
+    with open(log_path, "w", encoding="utf-8") as log_stream:
+        log_stream.writelines(kept)
         result = tr.train(model_cfg, items, args.steps, seed, trainer_cfg,
                           state=state, opt_buffers=opt_buffers,
                           out_dir=out_dir, log_stream=log_stream)

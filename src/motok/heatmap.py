@@ -170,17 +170,36 @@ def load_keypoints(path) -> KeypointSequence:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
-                    raise DataError(f"{path}:{lineno}: keypoint record is not a JSON object")
-                coords.append(rec["kp"])
-                valid.append(rec["valid"])
+                    raise DataError(f"{where}: keypoint record is not a JSON object")
+                kp, ok = rec["kp"], rec["valid"]
             except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed keypoint record: {exc}") from exc
+                raise DataError(f"{where}: malformed keypoint record: {exc}") from exc
+            try:
+                kp = np.asarray(kp, dtype=np.float64)
+                ok = np.asarray(ok, dtype=bool)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{where}: keypoints must be lists of numbers: {exc}") from exc
+            if kp.ndim != 2:
+                raise DataError(f'{where}: "kp" must be a list of joints, got shape {kp.shape}')
+            if kp.shape[1] not in (2, 3):
+                raise DataError(f"{where}: a joint has {kp.shape[1]} coordinates, "
+                                "it needs 2 (x, y) or 3 (x, y, z)")
+            if ok.shape != kp.shape[:1]:
+                raise DataError(f'{where}: "valid" must hold one flag for each of the '
+                                f"{len(kp)} joints, got shape {ok.shape}")
+            if coords and kp.shape != coords[0].shape:
+                raise DataError(f"{where}: inconsistent joint counts across frames: "
+                                f"{kp.shape} joints x coordinates, the first frame has "
+                                f"{coords[0].shape}")
+            coords.append(kp)
+            valid.append(ok)
     if not coords:
         raise DataError(f"{path}: empty keypoint file")
     try:
-        return KeypointSequence(np.asarray(coords, dtype=np.float64), np.asarray(valid))
-    except ValueError as exc:
-        raise DataError(f"{path}: inconsistent joint counts across frames") from exc
+        return KeypointSequence(np.stack(coords), np.stack(valid))
+    except ArgumentError as exc:  # a valid joint with a NaN or infinite coordinate
+        raise DataError(f"{path}: {exc}") from exc

@@ -319,26 +319,26 @@ def _triple(v, name: str) -> tuple:
     return t
 
 
-def _im2col(xp: np.ndarray, kernel: tuple, stride: tuple, out_ext: tuple) -> np.ndarray:
-    """One padded [C,*] volume -> contiguous [C*kt*kh*kw, to*ho*wo] columns."""
-    st, sh, sw = stride
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(1, 2, 3))
-    win = win[:, ::st, ::sh, ::sw]
-    cols = win.transpose(0, 4, 5, 6, 1, 2, 3).reshape(xp.shape[0] * math.prod(kernel),
-                                                      math.prod(out_ext))
-    return np.ascontiguousarray(cols)
+# Bytes of im2col columns built per forward GEMM when no weight gradient needs
+# them. A slab this size is still in cache when the GEMM reads it; the whole
+# columns of one 8-channel 32x64x64 sample (about 100 MB) are not.
+_SLAB_BYTES = 4 << 20
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
 
-    Forward and backward loop over the batch, one sample's im2col ``cols`` at
-    a time. Memory contract: ``cols`` is kept for backward only when the
-    weight trains (it requires a gradient and a tape is recording); otherwise
-    at most one sample's ``cols`` is alive, so memory does not grow with
-    batch x im2col. Backward computes only the gradients whose inputs require
-    one and returns None for the others.
+    Forward and backward loop over the batch. Forward lowers each sample by
+    im2col into ``cols`` [C*kt*kh*kw, to*ho*wo], a slab of output T-planes at
+    a time, and GEMMs each slab into its columns of the output. Memory
+    contract: without a trainable weight (one that requires a gradient while
+    a tape is recording) at most one slab of ``cols``, about
+    ``_SLAB_BYTES``, is alive, in one buffer reused for every slab and
+    sample, so memory does not grow with batch or with T x H x W. With a
+    trainable weight each slab is one sample's full ``cols``, kept for the
+    weight gradient. Backward computes only the gradients whose inputs
+    require one and returns None for the others.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -365,17 +365,31 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     wo = (wp - kw) // sw + 1
 
     pad = ((0, 0), (pt, pt), (ph, ph), (pw, pw))
-    w2 = weight.data.reshape(co, c * kt * kh * kw)
-    p = to * ho * wo
+    ck = c * kt * kh * kw
+    w2 = weight.data.reshape(co, ck)
+    plane = ho * wo
+    p = to * plane
     keep_cols = weight.requires_grad and active_tape() is not None
+    # The weight gradient needs each sample's exact full cols, so a trainable
+    # weight takes all T-planes in one slab.
+    rows = to if keep_cols else min(to, max(1, _SLAB_BYTES // (ck * plane * x.data.itemsize)))
     saved = []
+    slab = None
     out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
     for b in range(n):
-        cols = _im2col(np.pad(x.data[b], pad), (kt, kh, kw), stride, (to, ho, wo))
-        np.matmul(w2, cols, out=out[b])
+        if slab is None or keep_cols:
+            slab = np.empty(ck * rows * plane, dtype=x.dtype)
+        xp = np.pad(x.data[b], pad)
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
+        win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
+        for t0 in range(0, to, rows):
+            r = min(rows, to - t0)
+            cols = slab[:ck * r * plane].reshape(ck, r * plane)
+            np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, t0:t0 + r])
+            np.matmul(w2, cols, out=out[b, :, t0 * plane:(t0 + r) * plane])
         if keep_cols:
             saved.append(cols)
-        del cols  # the next sample's cols must not be built while this one lives
+        del xp, win  # the next sample's padded input must not be built while this one lives
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
         out += bias.data[None, :, None, None, None]

@@ -286,6 +286,8 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     def checkpoint(tag):
         if out_dir is None:
             return
+        if log_stream is not None:
+            log_stream.flush()  # a run killed after this checkpoint keeps its lines
         extra = opt_g.export_buffers("opt_g")
         if adversarial:
             extra |= opt_d.export_buffers("opt_d")

@@ -107,6 +107,42 @@ class TestTrain:
         state, _ = mdl.load_checkpoint(out / "ckpt_final.mck")
         assert state.step == 5
 
+    def test_resume_log_matches_uninterrupted(self, workspace, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(TINY_CONFIG["trainer"],
+                                                                  checkpoint_every=3))))
+
+        def train(out, steps, *resume):
+            assert cli.main(["train", "--config", str(cfg),
+                             "--data", str(workspace["keypoints"]), "--steps", str(steps),
+                             "--seed", "3", *resume, "--out", str(out)]) == 0
+
+        train(tmp_path / "whole", 8)
+        # Stopped after step 5, then resumed from the step-3 checkpoint.
+        cut = tmp_path / "cut"
+        train(cut, 5)
+        train(cut, 8, "--resume", str(cut / "ckpt_0000003.mck"))
+        whole = (tmp_path / "whole" / "loss_log.jsonl").read_bytes()
+        assert [json.loads(line)["step"] for line in whole.splitlines()] == list(range(1, 9))
+        assert (cut / "loss_log.jsonl").read_bytes() == whole
+
+    def test_checkpoint_written_after_its_log_lines(self, workspace, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(TINY_CONFIG["trainer"],
+                                                                  checkpoint_every=1))))
+        log = tmp_path / "run" / "loss_log.jsonl"
+        save = mdl.save_checkpoint
+        seen = []
+
+        def spy(path, state, extra):
+            seen.append((state.step, len(log.read_text().splitlines())))
+            save(path, state, extra)
+
+        monkeypatch.setattr(mdl, "save_checkpoint", spy)
+        assert cli.main(["train", "--config", str(cfg), "--data", str(workspace["keypoints"]),
+                         "--steps", "3", "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+        assert seen == [(1, 1), (2, 2), (3, 3), (3, 3)]
+
     def test_bad_config_schema(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 99}))
@@ -196,6 +232,29 @@ class TestTokenizeDetokenize:
         bad.write_text(record + "\n")
         assert cli.main(["tokenize", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
                          "--out", str(tmp_path / "t.mtk")]) == 5
+
+    # Each one-frame record holds one fault, and each fault has its own message.
+    BAD_KEYPOINTS = {
+        "nan-coordinate": ('{"kp": [[NaN, 1]], "valid": [true]}', "finite coordinates"),
+        "non-numeric-coordinate": ('{"kp": [["x", 1]], "valid": [true]}',
+                                   "lists of numbers: could not convert string"),
+        "kp-not-a-list": ('{"kp": 5, "valid": [true]}', '"kp" must be a list of joints'),
+        "four-coordinates": ('{"kp": [[1, 2, 3, 4]], "valid": [true]}',
+                             "a joint has 4 coordinates"),
+        "valid-longer-than-kp": ('{"kp": [[1, 2]], "valid": [true, true]}',
+                                 '"valid" must hold one flag for each of the 1 joints'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_KEYPOINTS))
+    def test_bad_keypoint_message(self, workspace, tmp_path, capsys, case):
+        record, message = self.BAD_KEYPOINTS[case]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n")
+        assert cli.main(["tokenize", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
+                         "--out", str(tmp_path / "t.mtk")]) == 5
+        err = capsys.readouterr().err
+        assert message in err
+        assert "inconsistent joint counts" not in err
 
     def test_corrupt_tokens_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.mtk"

@@ -145,6 +145,39 @@ class TestConv3d:
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
 
+    # f32 inputs whose per-sample cols span several _SLAB_BYTES slabs, the
+    # last one partial.
+    SLAB_SHAPES = {"k3s1": (2, 4, 19, 40, 40), "k3s2": (2, 4, 37, 80, 80)}
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("conv", sorted(SLAB_SHAPES))
+    def test_slabs_match_batched_reference_bitwise(self, conv, trainable):
+        k, s, pad = CONV_CLASSES[conv]
+        shape = self.SLAB_SHAPES[conv]
+        c = shape[1]
+        to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
+        rows = tc._SLAB_BYTES // (c * k ** 3 * ho * wo * 4)
+        assert 1 <= rows < to and to % rows, "the shape must span several slabs, the last partial"
+        rng = np.random.default_rng(12)
+        xv = rng.normal(size=shape).astype(np.float32)
+        wv = rng.normal(size=(5, c, k, k, k)).astype(np.float32)
+        bv = rng.normal(size=5).astype(np.float32)
+        x = Tensor(xv, requires_grad=trainable)
+        w = Tensor(wv, requires_grad=trainable)
+        b = Tensor(bv, requires_grad=trainable)
+        g = rng.normal(size=(shape[0], 5, to, ho, wo)).astype(np.float32)
+        if trainable:
+            with Tape():
+                out = tc.conv3d(x, w, b, stride=s, padding=pad)
+                backward(tc.tsum(tc.mul(out, Tensor(g))))
+        else:
+            out = tc.conv3d(x, w, b, stride=s, padding=pad)
+        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        got = (out.data, x.grad, w.grad, b.grad) if trainable else (out.data,)
+        for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+            assert a.dtype == e.dtype, name
+            assert np.array_equal(a, e), name
+
     def test_skips_input_grad_when_input_is_constant(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 4, 4, 4)))
