@@ -322,12 +322,7 @@ def save_checkpoint(path, state: ModelState, extra: dict = None) -> None:
         "has_discriminator": state.has_discriminator,
         "manifest": manifest,
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MCK_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for raw in blobs:
-            f.write(raw)
+    tc.write_artifact(path, [_MCK_MAGIC, struct.pack("<I", len(header)), header] + blobs)
 
 
 _HEADER_KEYS = ("config", "has_discriminator", "manifest", "seed", "step")

@@ -172,11 +172,8 @@ _MTK_MAGIC = b"MTK1"
 def save_tokens(path, grid: TokenGrid) -> None:
     if grid.vocab > 65536:
         raise ArgumentError(f"token file supports vocab <= 65536, got {grid.vocab}")
-    with open(path, "wb") as f:
-        f.write(_MTK_MAGIC)
-        f.write(struct.pack("<I", grid.vocab))
-        f.write(struct.pack("<3I", *grid.extents))
-        f.write(grid.indices.astype("<u2").tobytes())
+    tc.write_artifact(path, (_MTK_MAGIC, struct.pack("<4I", grid.vocab, *grid.extents),
+                             grid.indices.astype("<u2").tobytes()))
 
 
 def load_tokens(path) -> TokenGrid:

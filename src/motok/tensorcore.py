@@ -9,6 +9,7 @@ deterministic and two backward passes over identical tapes are bit-identical.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -319,9 +320,9 @@ def _triple(v, name: str) -> tuple:
     return t
 
 
-# Bytes of im2col columns built per forward GEMM when no weight gradient needs
-# them. A slab this size is still in cache when the GEMM reads it; the whole
-# columns of one 8-channel 32x64x64 sample (about 100 MB) are not.
+# Bytes of im2col columns built per forward GEMM. A slab this size is still in
+# cache when the GEMM reads it; the whole columns of one 8-channel 32x64x64
+# sample (about 100 MB) are not.
 _SLAB_BYTES = 4 << 20
 
 
@@ -332,13 +333,12 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     Forward and backward loop over the batch. Forward lowers each sample by
     im2col into ``cols`` [C*kt*kh*kw, to*ho*wo], a slab of output T-planes at
     a time, and GEMMs each slab into its columns of the output. Memory
-    contract: without a trainable weight (one that requires a gradient while
-    a tape is recording) at most one slab of ``cols``, about
-    ``_SLAB_BYTES``, is alive, in one buffer reused for every slab and
-    sample, so memory does not grow with batch or with T x H x W. With a
-    trainable weight each slab is one sample's full ``cols``, kept for the
-    weight gradient. Backward computes only the gradients whose inputs
-    require one and returns None for the others.
+    contract: forward keeps nothing for backward but its inputs; it holds one
+    slab of ``cols`` (about ``_SLAB_BYTES``) and one padded sample, in buffers
+    reused for every slab and sample, so memory does not grow with batch or
+    with T x H x W. Backward computes only the gradients whose inputs require
+    one and returns None for the others; the weight gradient rebuilds one
+    sample's full ``cols`` at a time from ``x``, in one reused buffer.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -364,32 +364,28 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    pad = ((0, 0), (pt, pt), (ph, ph), (pw, pw))
     ck = c * kt * kh * kw
     w2 = weight.data.reshape(co, ck)
     plane = ho * wo
     p = to * plane
-    keep_cols = weight.requires_grad and active_tape() is not None
-    # The weight gradient needs each sample's exact full cols, so a trainable
-    # weight takes all T-planes in one slab.
-    rows = to if keep_cols else min(to, max(1, _SLAB_BYTES // (ck * plane * x.data.itemsize)))
-    saved = []
-    slab = None
+
+    def padded_windows():  # a zero-bordered sample buffer's interior and [C,kt,kh,kw,to,ho,wo] windows
+        xp = np.zeros((c, tp, hp, wp), dtype=x.dtype)
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
+        return (xp[:, pt:pt + t, ph:ph + h, pw:pw + w],
+                win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3))
+
+    rows = min(to, max(1, _SLAB_BYTES // (ck * plane * x.data.itemsize)))
+    slab = np.empty(ck * rows * plane, dtype=x.dtype)
+    inner, win = padded_windows()
     out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
     for b in range(n):
-        if slab is None or keep_cols:
-            slab = np.empty(ck * rows * plane, dtype=x.dtype)
-        xp = np.pad(x.data[b], pad)
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-        win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
+        inner[...] = x.data[b]
         for t0 in range(0, to, rows):
             r = min(rows, to - t0)
             cols = slab[:ck * r * plane].reshape(ck, r * plane)
             np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, t0:t0 + r])
             np.matmul(w2, cols, out=out[b, :, t0 * plane:(t0 + r) * plane])
-        if keep_cols:
-            saved.append(cols)
-        del xp, win  # the next sample's padded input must not be built while this one lives
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
         out += bias.data[None, :, None, None, None]
@@ -397,12 +393,17 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, co, p))
         gw = gx = gb = None
-        if keep_cols:
-            # Per-sample GEMMs summed in batch order, as a batched sum(axis=0) does.
-            gw = np.matmul(g2[0], saved[0].T)
-            for b in range(1, n):
-                gw += np.matmul(g2[b], saved[b].T)
+        if weight.requires_grad:
+            # Rebuilt per-sample cols; their GEMMs summed in batch order, as a batched sum(axis=0) does.
+            inner, win = padded_windows()
+            cols = np.empty((ck, p), dtype=x.dtype)
+            for b in range(n):
+                inner[...] = x.data[b]
+                np.copyto(cols.reshape(c, kt, kh, kw, to, ho, wo), win)
+                gwb = np.matmul(g2[b], cols.T)
+                gw = gwb if gw is None else np.add(gw, gwb, out=gw)
             gw = gw.reshape(weight.shape)
+            del inner, win, cols  # cols and dcols both alive make malloc map fresh pages
         if x.requires_grad:
             gx = np.empty(x.shape, dtype=x.dtype)
             gxp = np.empty((c, tp, hp, wp), dtype=x.dtype)
@@ -415,7 +416,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                             gxp[:, i:i + to * st:st, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
                                 dcols[:, i, j, k]
                 gx[b] = gxp[:, pt:pt + t, ph:ph + h, pw:pw + w]
-                del dcols  # as in forward; two live dcols also defeat malloc's reuse
+                del dcols  # two live dcols defeat malloc's reuse
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
@@ -476,9 +477,10 @@ def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# Bounded artifact reading, shared by the MHT1 loader below, MTK1 (quantizer)
-# and MCK1 (model): every read is checked against the length of the file, so
-# a truncated or corrupt file raises DataError and nothing else.
+# Bounded artifact reading and whole-file writing, shared by MHT1 below, MTK1
+# (quantizer) and MCK1 (model): every read is checked against the length of
+# the file, so a truncated or corrupt file raises DataError and nothing else,
+# and every write replaces the file in one step.
 # ---------------------------------------------------------------------------
 
 def read_artifact(path, magic: bytes) -> bytes:
@@ -488,6 +490,22 @@ def read_artifact(path, magic: bytes) -> bytes:
     if blob[:len(magic)] != magic:
         raise DataError(f"bad magic in {path}: expected {magic!r}")
     return blob
+
+
+def write_artifact(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` all at once: they go to a
+    temporary file in the same directory, which then replaces ``path``, so a
+    write cut short leaves the old file whole and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def unpack_at(blob: bytes, fmt: str, offset: int, path) -> tuple:
@@ -530,11 +548,8 @@ def save_tensor(path, array) -> None:
     data = array.data if isinstance(array, Tensor) else np.asarray(array)
     tag = 1 if data.dtype == np.float64 else 0
     le = np.ascontiguousarray(data, dtype=_DTYPE_TAGS[tag])
-    with open(path, "wb") as f:
-        f.write(_MHT_MAGIC)
-        f.write(struct.pack("<BB", tag, data.ndim))
-        f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        f.write(le.tobytes())
+    write_artifact(path, (_MHT_MAGIC, struct.pack("<BB", tag, data.ndim),
+                          struct.pack(f"<{data.ndim}I", *data.shape), le.tobytes()))
 
 
 def load_tensor(path) -> np.ndarray:

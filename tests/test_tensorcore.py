@@ -1,8 +1,13 @@
+import errno
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motok import model as mdl
+from motok import quantizer as qz
 from motok import tensorcore as tc
 from motok.errors import ArgumentError, DataError, ShapeError
 from motok.tensorcore import Tape, Tensor, backward
@@ -177,6 +182,26 @@ class TestConv3d:
         for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
+
+    def test_forward_keeps_less_than_one_window_of_cols(self):
+        # What a trainable k3s1 conv keeps alive after forward on a tape,
+        # beyond its output, must stay under one window's im2col columns.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 8, 8, 16, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, k, k, k)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        window_cols = 8 * k ** 3 * 8 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = tc.conv3d(x, w, b, stride=s, padding=pad)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert held - out.data.nbytes < window_cols
 
     def test_skips_input_grad_when_input_is_constant(self):
         rng = np.random.default_rng(5)
@@ -451,3 +476,54 @@ class TestTensorFile:
             tc.load_tensor(p)
         except DataError:
             pass
+
+
+class _DiskFull:
+    """Stands in for ``open``: its files take one write and then fail, as on
+    a disk that fills up partway through a write."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        if self.writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        return self.f.write(b)
+
+
+# The three artifact writers, each with the data of an old and a new file.
+WRITERS = {
+    "mht": lambda p, v: tc.save_tensor(p, np.full((2, 3), v, dtype=np.float32)),
+    "mtk": lambda p, v: qz.save_tokens(p, qz.TokenGrid((1, 2, 2), np.full((1, 2, 2), v), 32)),
+    "mck": lambda p, v: mdl.save_checkpoint(p, mdl.build(mdl.ModelConfig(
+        compression="F8", vocab=32, embed_dim=8, base_channels=8, in_channels=2,
+        input_extents=(8, 16, 16)), seed=v)),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        p = tmp_path / f"a.{kind}"
+        WRITERS[kind](p, 1)
+        old = p.read_bytes()
+        monkeypatch.setattr(tc, "open", _DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            WRITERS[kind](p, 2)
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
+
+    def test_replaces_old_file(self, tmp_path):
+        p = tmp_path / "a.mht"
+        WRITERS["mht"](p, 1)
+        WRITERS["mht"](p, 2)
+        assert np.all(tc.load_tensor(p) == 2)
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]

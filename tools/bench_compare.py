@@ -26,6 +26,7 @@ change is the checkout as it is on disk, so ``change.dirty`` says whether its
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -41,6 +42,22 @@ MIN_PAIRS = 10  # fewer pairs show no gain, however they fall
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def worktree(rev: str):
+    """Yield REV's commit and a checkout of it under ``.bench_build/``, which
+    is removed again on the way out."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    tree = BUILD / f"base-{commit[:12]}"
+    if tree.exists():
+        git("worktree", "remove", "--force", str(tree))
+    BUILD.mkdir(exist_ok=True)
+    git("worktree", "add", "--detach", str(tree), commit)
+    try:
+        yield commit, tree
+    finally:
+        git("worktree", "remove", "--force", str(tree))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,14 +124,8 @@ def main() -> int:
     chosen = args.workload or workloads
     seconds = spec["run_seconds"]
 
-    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    tree = BUILD / f"base-{base_commit[:12]}"
-    if tree.exists():
-        git("worktree", "remove", "--force", str(tree))
-    BUILD.mkdir(exist_ok=True)
-    git("worktree", "add", "--detach", str(tree), base_commit)
     runs = {w: [] for w in chosen}
-    try:
+    with worktree(args.base) as (base_commit, tree):
         for i in range(args.pairs):
             for w in chosen:
                 order = ((0, tree), (1, ROOT)) if i % 2 == 0 else ((1, ROOT), (0, tree))
@@ -125,8 +136,6 @@ def main() -> int:
                 print(f"pair {i + 1}/{args.pairs} {w}: " + ", ".join(
                     r.get("error") or f"{r['metrics']['window_ms_p50']['value']:.1f} ms"
                     for r in pair), file=sys.stderr)
-    finally:
-        git("worktree", "remove", "--force", str(tree))
 
     envs = [[pair[side]["env"] for w in chosen for pair in runs[w] if "env" in pair[side]]
             for side in (0, 1)]
