@@ -49,8 +49,7 @@ def write_manifest(path: Path, command: str, config: dict, seed: int,
         "version": __version__,
         "wall_clock_s": round(time.time() - started, 3),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    tc.write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_config(path) -> tuple:

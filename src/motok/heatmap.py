@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensorcore as tc
 from .errors import ArgumentError, DataError, ShapeError
 
 LAYOUT_2D = "2d"
@@ -152,14 +153,11 @@ def window(kp: KeypointSequence, length: int, stride: int) -> list:
 # ---------------------------------------------------------------------------
 
 def save_keypoints(path, kp: KeypointSequence) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(kp.frames):
-            rec = {
-                "frame": i,
-                "kp": [[float(v) for v in joint] for joint in kp.coords[i]],
-                "valid": [bool(v) for v in kp.validity[i]],
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    tc.write_text(path, "".join(json.dumps({
+        "frame": i,
+        "kp": [[float(v) for v in joint] for joint in kp.coords[i]],
+        "valid": [bool(v) for v in kp.validity[i]],
+    }, separators=(",", ":")) + "\n" for i in range(kp.frames)))
 
 
 def load_keypoints(path) -> KeypointSequence:

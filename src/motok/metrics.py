@@ -10,6 +10,7 @@ l1, tstd, qloss).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -18,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model as mdl
+from . import tensorcore as tc
 from .errors import ArgumentError, ShapeError
 
 PSNR_CAP_DB = 100.0
@@ -171,16 +173,13 @@ def evaluate(state, windows, model_tag: str = "VQ-GAN") -> MetricsReport:
 
 
 def write_report_csv(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow(r.row())
+    buf = io.StringIO()
+    csv.writer(buf).writerows([REPORT_COLUMNS] + [r.row() for r in reports])
+    tc.write_text(path, buf.getvalue())
 
 
 def write_report_json(path, reports) -> None:
     payload = [asdict(r) | {"model": r.model_tag} for r in reports]
     for row in payload:
         row.pop("model_tag")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
+    tc.write_text(path, json.dumps(payload, indent=2))

@@ -338,7 +338,10 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     reused for every slab and sample, so memory does not grow with batch or
     with T x H x W. Backward computes only the gradients whose inputs require
     one and returns None for the others; the weight gradient rebuilds one
-    sample's full ``cols`` at a time from ``x``, in one reused buffer.
+    sample's full ``cols`` at a time from ``x``, in one reused buffer. The
+    input gradient keeps no per-sample ``dcols``: it GEMMs one slab of output
+    T-planes at a time (about ``_SLAB_BYTES`` of columns, or one plane) into
+    one reused buffer and adds each tap's share into the padded gradient.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -403,20 +406,44 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 gwb = np.matmul(g2[b], cols.T)
                 gw = gwb if gw is None else np.add(gw, gwb, out=gw)
             gw = gw.reshape(weight.shape)
-            del inner, win, cols  # cols and dcols both alive make malloc map fresh pages
+            del inner, win, cols  # cols and the gx buffers both alive make malloc map fresh pages
         if x.requires_grad:
+            # col2im without dcols. The padded gradient is held as st*sh*sw stride
+            # classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits in a zeroed
+            # [Co, to, hb, wb] grid of the same plane pitch. So each slab's GEMM gives
+            # tap (i, j, k) columns that add, one contiguous run per channel, into
+            # class (i%st, j%sh, k%sw) at offset (i//st, j//sh, k//sw). Only zero
+            # columns run past a class's ta planes.
+            ta, hb, wb = -(-tp // st), -(-hp // sh), -(-wp // sw)
+            hw = hb * wb
+            grid = np.zeros((co, to, hb, wb), dtype=g2.dtype)
+            classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=x.dtype)
+            padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
+                .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
+            dt = np.result_type(w2, g2)
+            rows = min(to, max(1, _SLAB_BYTES // (ck * hw * dt.itemsize)))
+            slab = np.empty(ck * rows * hw, dtype=dt)
             gx = np.empty(x.shape, dtype=x.dtype)
-            gxp = np.empty((c, tp, hp, wp), dtype=x.dtype)
             for b in range(n):
-                dcols = np.matmul(w2.T, g2[b]).reshape(c, kt, kh, kw, to, ho, wo)
-                gxp.fill(0)
-                for i in range(kt):
-                    for j in range(kh):
-                        for k in range(kw):
-                            gxp[:, i:i + to * st:st, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
-                                dcols[:, i, j, k]
-                gx[b] = gxp[:, pt:pt + t, ph:ph + h, pw:pw + w]
-                del dcols  # two live dcols defeat malloc's reuse
+                grid[:, :, :ho, :wo] = g2[b].reshape(co, to, ho, wo)
+                classes.fill(0)
+                # Two conditions keep every voxel's sum bit-identical to a col2im of
+                # the whole dcols in (i, j, k) tap order. Slabs go in descending T:
+                # a voxel's taps with a smaller i come from later output planes. And
+                # the grid's zero columns GEMM to signed zeros with finite weights;
+                # adding one never changes a sum that starts at +0.
+                for t0 in reversed(range(0, to, rows)):
+                    r = min(rows, to - t0)
+                    dcols = slab[:ck * r * hw].reshape(ck, r * hw)
+                    np.matmul(w2.T, grid[:, t0:t0 + r].reshape(co, r * hw), out=dcols)
+                    dcols = dcols.reshape(c, kt, kh, kw, r * hw)
+                    for i in range(kt):
+                        for j in range(kh):
+                            for k in range(kw):
+                                s = ((i // st + t0) * hb + j // sh) * wb + k // sw
+                                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += dcols[:, i, j, k]
+                # Reshaped per sample: above stride 1 the interleave is a copy.
+                gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
@@ -478,7 +505,8 @@ def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
 
 # ---------------------------------------------------------------------------
 # Bounded artifact reading and whole-file writing, shared by MHT1 below, MTK1
-# (quantizer) and MCK1 (model): every read is checked against the length of
+# (quantizer) and MCK1 (model), whose writes the text files (keypoints,
+# reports, manifests) share too: every read is checked against the length of
 # the file, so a truncated or corrupt file raises DataError and nothing else,
 # and every write replaces the file in one step.
 # ---------------------------------------------------------------------------
@@ -506,6 +534,11 @@ def write_artifact(path, chunks) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """``write_artifact`` for text: ``text`` in UTF-8, a line per write."""
+    write_artifact(path, (line.encode("utf-8") for line in text.splitlines(keepends=True)))
 
 
 def unpack_at(blob: bytes, fmt: str, offset: int, path) -> tuple:

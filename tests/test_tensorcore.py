@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motok import cli
+from motok import heatmap as hm
+from motok import metrics as mx
 from motok import model as mdl
 from motok import quantizer as qz
 from motok import tensorcore as tc
@@ -82,6 +85,10 @@ def conv3d_batched_reference(x, w, b, stride, padding, g):
 # (kernel, stride, padding) of the model's three conv classes.
 CONV_CLASSES = {"k3s1": (3, 1, 1), "k3s2": (3, 2, 1), "k1": (1, 1, 0)}
 
+# An anisotropic k3 conv over odd T/H/W, whose input-gradient stride classes
+# differ in size: the padded H of 7 splits into 4 even rows and 3 odd ones.
+ANISO = {"k3aniso": ((1, 2, 1), (1, 0, 1), (5, 7, 5))}
+
 
 class TestConv3d:
     def test_all_ones_kernel(self):
@@ -127,12 +134,16 @@ class TestConv3d:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_bias", [True, False])
-    @pytest.mark.parametrize("conv", sorted(CONV_CLASSES))
+    @pytest.mark.parametrize("conv", sorted(CONV_CLASSES) + sorted(ANISO))
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_batched_reference_bitwise(self, batch, conv, with_bias, dtype):
-        k, s, pad = CONV_CLASSES[conv]
+        if conv in ANISO:
+            k, (s, pad, extents) = 3, ANISO[conv]
+        else:
+            k, s, pad = CONV_CLASSES[conv]
+            s, pad, extents = (s,) * 3, (pad,) * 3, (5, 6, 4)
         rng = np.random.default_rng(11)
-        xv = rng.normal(size=(batch, 3, 5, 6, 4)).astype(dtype)
+        xv = rng.normal(size=(batch, 3) + extents).astype(dtype)
         wv = rng.normal(size=(4, 3, k, k, k)).astype(dtype)
         bv = rng.normal(size=4).astype(dtype) if with_bias else None
         x = Tensor(xv, requires_grad=True)
@@ -142,7 +153,7 @@ class TestConv3d:
             out = tc.conv3d(x, w, b, stride=s, padding=pad)
             g = rng.normal(size=out.shape).astype(dtype)
             backward(tc.tsum(tc.mul(out, Tensor(g))))
-        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        want = conv3d_batched_reference(xv, wv, bv, s, pad, g)
         got = (out.data, x.grad, w.grad, b.grad if with_bias else None)
         for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
             if e is None:
@@ -150,7 +161,8 @@ class TestConv3d:
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
 
-    # f32 inputs whose per-sample cols span several _SLAB_BYTES slabs, the
+    # f32 inputs whose per-sample cols, in forward, and input-gradient columns
+    # on the [hb, wb] grid, in backward, span several _SLAB_BYTES slabs, the
     # last one partial.
     SLAB_SHAPES = {"k3s1": (2, 4, 19, 40, 40), "k3s2": (2, 4, 37, 80, 80)}
 
@@ -163,6 +175,9 @@ class TestConv3d:
         to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
         rows = tc._SLAB_BYTES // (c * k ** 3 * ho * wo * 4)
         assert 1 <= rows < to and to % rows, "the shape must span several slabs, the last partial"
+        hb, wb = (-(-(e + 2 * pad) // s) for e in shape[3:])
+        rows = tc._SLAB_BYTES // (c * k ** 3 * hb * wb * 4)
+        assert 1 <= rows < to and to % rows, "backward must span several slabs, the last partial"
         rng = np.random.default_rng(12)
         xv = rng.normal(size=shape).astype(np.float32)
         wv = rng.normal(size=(5, c, k, k, k)).astype(np.float32)
@@ -202,6 +217,30 @@ class TestConv3d:
             tracemalloc.stop()
         assert len(tape.nodes) == 1
         assert held - out.data.nbytes < window_cols
+
+    def test_input_grad_holds_less_than_one_window_of_dcols(self):
+        # Backward's peak for the input gradient of a k3s1 conv must stay under
+        # one window's input-gradient columns (dcols), which are larger than a
+        # slab here. The weight is frozen, as in the perceptual net, since a
+        # trainable weight's gradient rebuilds a window's cols of that size.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, k, k, k)).astype(np.float32))
+        window_dcols = 8 * k ** 3 * 16 * 32 * 32 * 4
+        assert window_dcols > 3 * tc._SLAB_BYTES
+        with Tape() as tape:
+            out = tc.conv3d(x, w, stride=s, padding=pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gx, _, _ = tape.nodes[-1].backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape
+        assert peak < window_dcols
 
     def test_skips_input_grad_when_input_is_constant(self):
         rng = np.random.default_rng(5)
@@ -499,8 +538,13 @@ class _DiskFull:
         return self.f.write(b)
 
 
-# The three artifact writers, each with the data of an old and a new file.
+# The artifact writers, binary and text, each with the data of an old and a
+# new file.
 WRITERS = {
+    "csv": lambda p, v: mx.write_report_csv(p, [mx.MetricsReport("VQ-GAN", "F8", 32, v, v, v, v, v)]),
+    "json": lambda p, v: mx.write_report_json(p, [mx.MetricsReport("VQ-GAN", "F8", 32, v, v, v, v, v)]),
+    "jsonl": lambda p, v: hm.save_keypoints(p, hm.KeypointSequence(np.full((3, 2, 2), v))),
+    "manifest": lambda p, v: cli.write_manifest(p, "synth", {"v": v}, v, [], [], 0.0),
     "mht": lambda p, v: tc.save_tensor(p, np.full((2, 3), v, dtype=np.float32)),
     "mtk": lambda p, v: qz.save_tokens(p, qz.TokenGrid((1, 2, 2), np.full((1, 2, 2), v), 32)),
     "mck": lambda p, v: mdl.save_checkpoint(p, mdl.build(mdl.ModelConfig(
