@@ -57,7 +57,7 @@ def load_config(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a config must be a JSON object")

@@ -163,18 +163,18 @@ def save_keypoints(path, kp: KeypointSequence) -> None:
 def load_keypoints(path) -> KeypointSequence:
     coords = []
     valid = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             where = f"{path}:{lineno}"
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 if not isinstance(rec, dict):
                     raise DataError(f"{where}: keypoint record is not a JSON object")
                 kp, ok = rec["kp"], rec["valid"]
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
                 raise DataError(f"{where}: malformed keypoint record: {exc}") from exc
             try:
                 kp = np.asarray(kp, dtype=np.float64)

@@ -105,7 +105,7 @@ def total_generator_loss(perceptual, l1, vq, adv_g,
 
 @dataclass
 class LossBreakdown:
-    """One training step's loss components and their composition weights."""
+    """One training step's loss components."""
 
     rec_l1: float
     rec_perceptual: float
@@ -113,7 +113,6 @@ class LossBreakdown:
     adv_g: float
     adv_d: float
     total_g: float
-    weights: tuple  # (alpha, beta, lam)
 
     def json_line(self, step: int) -> str:
         return json.dumps({

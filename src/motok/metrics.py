@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,12 +137,11 @@ class MetricsReport:
     psnr: float
     l1: float
     tstd: float
-    qloss: Optional[float] = None
+    qloss: float
 
     def row(self) -> list:
         return [self.model_tag, self.compression, self.vocab,
-                self.ssim, self.psnr, self.l1, self.tstd,
-                "" if self.qloss is None else self.qloss]
+                self.ssim, self.psnr, self.l1, self.tstd, self.qloss]
 
 
 REPORT_COLUMNS = ["model", "compression", "vocab", "ssim", "psnr", "l1", "tstd", "qloss"]

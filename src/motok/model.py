@@ -252,16 +252,19 @@ def encode(state: ModelState, batch: np.ndarray):
     """Run the encoder and quantizer on a [N,C,T,H,W] batch; returns (z_e, grids, z_q).
 
     ``grids`` is one TokenGrid for a batch of one and a list of TokenGrids,
-    one per batch element, otherwise.
+    one per batch element, otherwise. The encoder runs on one sample at a
+    time: beyond its input and the latents, encode holds one sample's
+    activations, and ``z_e`` is bit-identical to a whole-batch pass.
     """
     x = np.asarray(batch, dtype=np.float32)
-    if x.ndim != 5:
-        raise ShapeError(f"encode expects a [N,C,T,H,W] batch, got shape {x.shape}")
+    if x.ndim != 5 or not len(x):
+        raise ShapeError(f"encode expects a non-empty [N,C,T,H,W] batch, got shape {x.shape}")
     want = (state.config.in_channels, *state.config.input_extents)
     for name, got, expected in zip("CTHW", x.shape[1:], want):
         if got != expected:
             raise ShapeError(f"axis {name}: got {got}, config expects {expected}")
-    z_e = encoder_forward(state, Tensor(x))
+    z_e = Tensor(np.concatenate([encoder_forward(state, Tensor(x[i:i + 1])).data
+                                 for i in range(len(x))]))
     result = qz.quantize(z_e, state.codebook)
     grids = result.grids[0] if len(result.grids) == 1 else result.grids
     return z_e, grids, result.z_q

@@ -348,8 +348,7 @@ def train(config: ModelConfig, data, steps: int, seed: int,
             rec_l1=float(l1.numpy()), rec_perceptual=float(perc.numpy()),
             vq=float(vq.numpy()),
             adv_g=float(adv_g.numpy()) if adv_g is not None else 0.0,
-            adv_d=d_val, total_g=total_val,
-            weights=(config.alpha_perceptual, config.beta_l1, config.lambda_adv))
+            adv_d=d_val, total_g=total_val)
         line = breakdown.json_line(step)
         log_lines.append(line)
         if log_stream is not None:

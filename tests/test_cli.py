@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -178,6 +180,13 @@ class TestTrain:
                          "--data", str(workspace["keypoints"]),
                          "--steps", "1", "--out", str(tmp_path / "o")]) == 3
 
+    def test_config_not_utf8_code(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(json.dumps(TINY_CONFIG).encode("utf-8").replace(b"F8", b"F\xff"))
+        assert cli.main(["train", "--config", str(bad),
+                         "--data", str(workspace["keypoints"]),
+                         "--steps", "1", "--out", str(tmp_path / "o")]) == 3
+
     def test_missing_data_io_code(self, workspace, tmp_path):
         assert cli.main(["train", "--config", str(workspace["config"]),
                          "--data", str(tmp_path / "nope.jsonl"),
@@ -327,6 +336,78 @@ class TestTokenizeDetokenize:
                                   lambda h: h["config"].update(sigma="x"))
         assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
                          "--out", str(tmp_path / "out")]) == 5
+
+
+# Edits a user could make by hand to a keypoint file: one line dropped or
+# duplicated, or one byte overwritten.
+def keypoint_edits(blob):
+    line = st.integers(0, len(blob.splitlines()) - 1)
+    byte = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+    return st.one_of(st.tuples(st.sampled_from(["drop", "duplicate"]), line),
+                     st.tuples(st.just("byte"), byte))
+
+
+def edit_keypoints(blob, edit):
+    kind, at = edit
+    if kind == "byte":
+        return corrupt(blob, at)
+    lines = blob.splitlines(keepends=True)
+    lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+    return b"".join(lines)
+
+
+# TINY_CONFIG with every field spelled out, and one value of each JSON type.
+FULL_CONFIG = json.loads(json.dumps({
+    **TINY_CONFIG, "model": asdict(mdl.ModelConfig(**TINY_CONFIG["model"])),
+    "trainer": asdict(tr.TrainerConfig(**TINY_CONFIG["trainer"]))}))
+JSON_VALUES = (None, True, 3, 2.5, "8", [8, 16, 16], {"a": 1})
+
+
+def config_fields(value, path=()):
+    """The path of every value in a JSON document, containers included."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from config_fields(item, path + (key,))
+
+
+class TestTextInputs:
+    """Hand-edited text inputs end in a documented exit code, never a traceback."""
+
+    CODES = (0, 2, 3, 5)
+
+    def run(self, capsys, argv):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in self.CODES, err
+        assert "Traceback" not in err
+
+    @FUZZ
+    @given(data=st.data())
+    def test_edited_keypoints(self, workspace, tmp_path, capsys, data):
+        blob = workspace["keypoints"].read_bytes()
+        bad = tmp_path / "edited.jsonl"
+        bad.write_bytes(edit_keypoints(blob, data.draw(keypoint_edits(blob))))
+        self.run(capsys, ["tokenize", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
+                          "--stride", "8", "--out", str(tmp_path / "t.mtk")])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_config_field_type_changed(self, workspace, tmp_path, capsys, data):
+        path = data.draw(st.sampled_from(list(config_fields(FULL_CONFIG))))
+        raw = copy.deepcopy(FULL_CONFIG)
+        *parents, last = path
+        holder = raw
+        for key in parents:
+            holder = holder[key]
+        holder[last] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(holder[last])]))
+        cfg = tmp_path / "edited.json"
+        cfg.write_text(json.dumps(raw))
+        self.run(capsys, ["train", "--config", str(cfg), "--data", str(workspace["keypoints"]),
+                          "--steps", "1", "--out", str(tmp_path / "run")])
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -165,17 +167,40 @@ class TestForward:
         cfg = small_config(input_extents=(16, 32, 32))
         state = mdl.build(cfg, seed=0)
         x = self.batch(cfg, n=3, seed=4).data
-        _, grids, z_q = mdl.encode(state, x)
+        z_e, grids, z_q = mdl.encode(state, x)
+        assert z_e.data.tobytes() == mdl.encoder_forward(state, Tensor(x)).data.tobytes()
         for i in range(3):
-            _, grid, z_q1 = mdl.encode(state, x[i:i + 1])
+            z_e1, grid, z_q1 = mdl.encode(state, x[i:i + 1])
+            assert z_e1.data.tobytes() == z_e.data[i:i + 1].tobytes()
             assert np.array_equal(grid.indices, grids[i].indices)
             assert z_q1.data.tobytes() == z_q.data[i:i + 1].tobytes()
+
+    def test_encode_holds_one_sample_of_activations(self):
+        cfg = small_config(input_extents=(16, 32, 32))
+        state = mdl.build(cfg, seed=0)
+        x = self.batch(cfg, n=4, seed=4).data
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                mdl.encode(state, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(x[:1]), peak(x)
+        assert four <= 1.25 * one, (four, one)
 
     def test_encode_wrong_extent(self):
         state = mdl.build(small_config(), seed=0)
         with pytest.raises(ShapeError) as err:
             mdl.encode(state, np.zeros((1, 2, 8, 16, 8), dtype=np.float32))
         assert "W" in str(err.value)
+
+    def test_encode_rejects_empty_batch(self):
+        state = mdl.build(small_config(), seed=0)
+        with pytest.raises(ShapeError):
+            mdl.encode(state, np.zeros((0, 2, 8, 16, 16), dtype=np.float32))
 
     def test_encode_rejects_unbatched_window(self):
         # C == T, so a [C,T,H,W] window would pass any extent check if it
