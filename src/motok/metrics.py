@@ -29,19 +29,37 @@ SSIM_C1 = (0.01) ** 2  # (0.01 * L)^2 with L = 1
 SSIM_C2 = (0.03) ** 2
 
 
-def _ssim_kernel() -> np.ndarray:
+# Images whose five SSIM maps are filtered together: few enough that a group
+# at 128x128 stays a few MB, enough that the per-group Python work is amortised.
+SSIM_GROUP = 8
+
+
+def _ssim_taps() -> np.ndarray:
     half = SSIM_WINDOW // 2
     g = np.exp(-(np.arange(SSIM_WINDOW, dtype=np.float64) - half) ** 2
                / (2.0 * SSIM_SIGMA ** 2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 def ssim(x, y) -> float:
     """Windowed SSIM with a 7x7 Gaussian window, averaged over windows,
-    channels, and frames. Last two axes are spatial."""
-    xv = np.asarray(x).astype(np.float64)
-    yv = np.asarray(y).astype(np.float64)
+    channels, and frames. Last two axes are spatial.
+
+    The Gaussian window is separable (Wang et al. 2004): the five maps x, y,
+    x², y² and xy, stacked together, are filtered with its normalised 1-D
+    taps along W, then along H. ``einsum`` does the filtering rather than
+    ``@``, which hands some strides to BLAS, so the result does not depend
+    on the BLAS library or its thread count. The ``reshape(-1, H, W)``
+    images go through ``SSIM_GROUP`` at a time, each group converted to f64
+    as it is taken, and the SSIM-map sums are added up across groups.
+
+    Memory: beyond its inputs (and a copy of an input that ``reshape``
+    cannot view), a call holds one group's maps, so its peak does not grow
+    with the number of images: ``tests/test_metrics.py`` checks that 4× the
+    images raise the tracemalloc peak by at most 1.25×.
+    """
+    xv = np.asarray(x)
+    yv = np.asarray(y)
     if xv.shape != yv.shape:
         raise ShapeError(f"ssim extent mismatch: {xv.shape} vs {yv.shape}")
     h, w = xv.shape[-2:]
@@ -49,23 +67,22 @@ def ssim(x, y) -> float:
         raise ArgumentError(f"spatial extents {h}x{w} smaller than SSIM window")
     xi = xv.reshape(-1, h, w)
     yi = yv.reshape(-1, h, w)
-    k = _ssim_kernel()
-
-    def local(img):
-        win = sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
-        return np.tensordot(win, k, axes=([3, 4], [0, 1]))
-
-    mu_x = local(xi)
-    mu_y = local(yi)
-    e_xx = local(xi * xi)
-    e_yy = local(yi * yi)
-    e_xy = local(xi * yi)
-    var_x = e_xx - mu_x * mu_x
-    var_y = e_yy - mu_y * mu_y
-    cov = e_xy - mu_x * mu_y
-    num = (2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)
-    den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
-    return float(np.mean(num / den))
+    g = _ssim_taps()
+    total = 0.0
+    for i in range(0, len(xi), SSIM_GROUP):
+        a = xi[i:i + SSIM_GROUP].astype(np.float64)
+        b = yi[i:i + SSIM_GROUP].astype(np.float64)
+        maps = np.stack([a, b, a * a, b * b, a * b])
+        for axis in (3, 2):  # W, then H
+            maps = np.einsum("...k,k->...", sliding_window_view(maps, SSIM_WINDOW, axis=axis), g)
+        mu_x, mu_y, e_xx, e_yy, e_xy = maps
+        var_x = e_xx - mu_x * mu_x
+        var_y = e_yy - mu_y * mu_y
+        cov = e_xy - mu_x * mu_y
+        num = (2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)
+        den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
+        total += float(np.sum(num / den))
+    return total / (len(xi) * (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1))
 
 
 def psnr(x, y, max_val: float = 1.0) -> float:

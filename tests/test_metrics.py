@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,28 @@ class TestSsim:
         rng = np.random.default_rng(20)
         x, y = random_pair(rng, shape=(2, 3, 9, 9))
         assert abs(mt.ssim(x, y) - ssim_oracle(x, y)) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(3, 5, 9, 8), (17, 7, 9), (2, 12, 7), (7, 7), (10, 13)])
+    def test_image_group_edges(self, shape):
+        # Image counts that are not a multiple of SSIM_GROUP, extents equal
+        # to the window, non-square extents and a single 2-D image.
+        rng = np.random.default_rng(23)
+        x, y = random_pair(rng, shape=shape)
+        assert abs(mt.ssim(x, y) - ssim_oracle(x, y)) < 1e-9
+
+    def test_peak_memory_flat_in_image_count(self):
+        rng = np.random.default_rng(24)
+
+        def peak(shape):
+            x, y = (rng.uniform(size=shape).astype(np.float32) for _ in range(2))
+            tracemalloc.start()
+            try:
+                mt.ssim(x, y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak((64, 4, 32, 32)) <= 1.25 * peak((16, 4, 32, 32))
 
     def test_bounded(self):
         rng = np.random.default_rng(21)

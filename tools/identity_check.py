@@ -20,14 +20,16 @@ Then it compares the SHA-256 of every artifact the jobs write: the keypoints,
 ``loss_log.jsonl``, every ``ckpt_*.mck``, ``.mtk`` and ``.mht``, and the eval
 ``.csv``/``.json`` (not the manifests, which hold wall-clock times). It names
 every file that differs or exists on one side only and exits 1 if any does,
-0 if all are identical, and 2 if a job fails. The outputs stay in
-``.bench_build/identity/{base,change}`` until the next check.
+0 if all are identical, and 2 if a job fails. For a differing eval ``.csv``
+it also prints the largest absolute difference in each column. The outputs
+stay in ``.bench_build/identity/{base,change}`` until the next check.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -98,6 +100,23 @@ def digests(out: Path) -> dict:
             for pattern in ARTIFACTS for p in sorted(out.glob(pattern))}
 
 
+def column_diffs(base: Path, change: Path) -> str:
+    """The largest absolute difference in each column of two eval ``.csv``
+    reports; a column that is not numeric reads ``same`` or ``differs``."""
+    with base.open(newline="") as fb, change.open(newline="") as fc:
+        b, c = list(csv.reader(fb)), list(csv.reader(fc))
+    if len(b) != len(c) or not b or b[0] != c[0] or len({len(r) for r in b + c}) != 1:
+        return "header or row shape differs"
+    parts = []
+    for j, name in enumerate(b[0]):
+        pairs = [(rb[j], rc[j]) for rb, rc in zip(b[1:], c[1:])]
+        try:
+            parts.append(f"{name} {max(abs(float(u) - float(v)) for u, v in pairs):.3g}")
+        except ValueError:
+            parts.append(f"{name} {'same' if all(u == v for u, v in pairs) else 'differs'}")
+    return ", ".join(parts)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -117,6 +136,9 @@ def main() -> int:
     for p in differ:
         where = "base only" if p not in change else "change only" if p not in base else "differs"
         print(f"{where}: {p}")
+        if where == "differs" and p.endswith(".csv"):
+            print(f"  largest |change - base| by column: "
+                  f"{column_diffs(OUT / 'base' / p, OUT / 'change' / p)}")
     print(f"{len(base.keys() | change.keys()) - len(differ)} of "
           f"{len(base.keys() | change.keys())} artifacts identical to {args.base} "
           f"({base_commit[:12]}); outputs in {OUT.relative_to(ROOT)}")
