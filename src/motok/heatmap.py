@@ -9,19 +9,12 @@ pure numpy; these volumes are model inputs, not differentiated through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorcore as tc
 from .errors import ArgumentError, DataError, ShapeError
-
-LAYOUT_2D = "2d"
-LAYOUT_3D = "3d"
-LAYOUT_TRIPLANE = "triplane"
-
-# Default Gaussian spread in pixels.
-SIGMA_REF = 2.0
 
 
 @dataclass
@@ -62,32 +55,14 @@ class KeypointSequence:
         return self.coords.shape[2]
 
 
-@dataclass
-class HeatmapVolume:
-    """Dense Gaussian-rendered motion tensor with values in [0,1]."""
-
-    values: np.ndarray
-    layout: str
-    sigma: float = field(default=SIGMA_REF)
-
-    def __post_init__(self):
-        expected_rank = {LAYOUT_2D: 4, LAYOUT_3D: 5, LAYOUT_TRIPLANE: 4}
-        if self.layout not in expected_rank:
-            raise ArgumentError(f"unknown layout {self.layout!r}")
-        self.values = np.asarray(self.values)
-        if self.values.ndim != expected_rank[self.layout]:
-            raise ShapeError(f"layout {self.layout} expects rank {expected_rank[self.layout]}, "
-                             f"got {self.values.ndim}")
-
-
 def _gauss_1d(grid: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
     # centers [F,K] against grid [E] -> [F,K,E]
     d = grid[None, None, :] - centers[:, :, None]
     return np.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
-def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> HeatmapVolume:
-    """Gaussian bump per joint per frame on an HxW grid.
+def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> np.ndarray:
+    """Gaussian bump per joint per frame on an HxW grid, as f64 ``[F,K,H,W]``.
 
     Pixel (i,j) of a joint's map holds exp(-((j-x)^2 + (i-y)^2) / (2 sigma^2));
     rows index y, columns index x. Invalid keypoints give all-zero maps.
@@ -100,11 +75,11 @@ def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> HeatmapVolum
     gx = _gauss_1d(np.arange(w, dtype=np.float64), kp.coords[:, :, 0], sigma)
     vals = gy[:, :, :, None] * gx[:, :, None, :]
     vals *= kp.validity[:, :, None, None]
-    return HeatmapVolume(vals, LAYOUT_2D, sigma)
+    return vals
 
 
-def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> HeatmapVolume:
-    """3-D extension: voxel (k,i,j) holds the Gaussian of (x,y,z) distance."""
+def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> np.ndarray:
+    """3-D extension, f64 ``[F,K,D,H,W]``: voxel (k,i,j) holds the Gaussian of (x,y,z) distance."""
     if sigma <= 0:
         raise ArgumentError(f"sigma must be positive, got {sigma}")
     if kp.dims != 3:
@@ -114,25 +89,25 @@ def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> Heat
     gx = _gauss_1d(np.arange(w, dtype=np.float64), kp.coords[:, :, 0], sigma)
     vals = gz[:, :, :, None, None] * gy[:, :, None, :, None] * gx[:, :, None, None, :]
     vals *= kp.validity[:, :, None, None, None]
-    return HeatmapVolume(vals, LAYOUT_3D, sigma)
+    return vals
 
 
-def project_triplane(vol: HeatmapVolume) -> HeatmapVolume:
-    """Max-project a 3-D volume onto the X-Y, Y-Z, and X-Z planes.
+def project_triplane(v: np.ndarray) -> np.ndarray:
+    """Max-project a 3-D volume ``[F,K,D,H,W]`` onto the X-Y, Y-Z, and X-Z planes.
 
     Projections run over D, W, and H respectively and are stacked on the
-    channel axis as [xy(K), yz(K), xz(K)]; all three plane shapes must agree.
+    channel axis as ``[F,3K,H,W]``, [xy(K), yz(K), xz(K)], in the input's
+    dtype; all three plane shapes must agree.
     """
-    if vol.layout != LAYOUT_3D:
-        raise ArgumentError(f"project_triplane needs a 3D layout, got {vol.layout!r}")
-    v = vol.values
+    if v.ndim != 5:
+        raise ArgumentError(f"project_triplane needs an [F,K,D,H,W] volume, got rank {v.ndim}")
     xy = v.max(axis=2)   # over D -> [F,K,H,W]
     yz = v.max(axis=4)   # over W -> [F,K,D,H]
     xz = v.max(axis=3)   # over H -> [F,K,D,W]
     if not (xy.shape == yz.shape == xz.shape):
         raise ShapeError("tri-plane stacking needs matching plane shapes; "
                          f"got {xy.shape[2:]}, {yz.shape[2:]}, {xz.shape[2:]} (use D=H=W)")
-    return HeatmapVolume(np.concatenate([xy, yz, xz], axis=1), LAYOUT_TRIPLANE, vol.sigma)
+    return np.concatenate([xy, yz, xz], axis=1)
 
 
 def window(kp: KeypointSequence, length: int, stride: int) -> list:

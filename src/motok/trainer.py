@@ -21,7 +21,7 @@ from . import model as mdl
 from . import quantizer as qz
 from . import tensorcore as tc
 from .errors import ArgumentError, TrainingError
-from .heatmap import HeatmapVolume, KeypointSequence
+from .heatmap import KeypointSequence
 from .model import ModelConfig, ModelState, check_number, stream_rng
 from .tensorcore import Tape, Tensor
 
@@ -111,6 +111,9 @@ class SyntheticMotionSpec:
             raise ArgumentError("need joints >= 1 and frames >= 2")
         if self.dims not in (2, 3):
             raise ArgumentError(f"dims must be 2 or 3, got {self.dims}")
+        for name in ("width", "height", "depth"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("noise", self.noise, 0.0)
 
 
 def synth_motion(spec: SyntheticMotionSpec) -> KeypointSequence:
@@ -201,18 +204,16 @@ class TrainResult:
 
 
 def prepare_windows(config: ModelConfig, data) -> list:
-    """Render keypoint windows to [C,T,H,W] f32 arrays matching the config."""
+    """Render keypoint windows, or take ``[T,C,H,W]`` arrays, to [C,T,H,W] f32
+    arrays matching the config."""
     t_ext, h_ext, w_ext = config.input_extents
     out = []
     for item in data:
         if isinstance(item, KeypointSequence):
             if config.mode == "triplane":
-                vol = hm.render3d(item, h_ext, h_ext, w_ext, config.sigma)
-                vals = hm.project_triplane(vol).values
+                vals = hm.project_triplane(hm.render3d(item, h_ext, h_ext, w_ext, config.sigma))
             else:
-                vals = hm.render2d(item, h_ext, w_ext, config.sigma).values
-        elif isinstance(item, HeatmapVolume):
-            vals = item.values
+                vals = hm.render2d(item, h_ext, w_ext, config.sigma)
         else:
             vals = np.asarray(item)
         if vals.shape != (t_ext, config.in_channels, h_ext, w_ext):

@@ -380,24 +380,24 @@ class TestCriterion8:
             kp = hm.KeypointSequence(coords)
             vol = hm.render2d(kp, 16, 16, sigma=1.9)
             want = gaussian2d_oracle(kp, 16, 16, 1.9)
-            assert np.max(np.abs(vol.values - want)) < 1e-12
+            assert np.max(np.abs(vol - want)) < 1e-12
 
         for _ in range(5):
             vals = rng.uniform(size=(2, 2, 5, 5, 5))
-            tri = hm.project_triplane(hm.HeatmapVolume(vals, hm.LAYOUT_3D))
+            tri = hm.project_triplane(vals)
             f, k, dd, hh, ww = vals.shape
             for fi in range(f):
                 for ki in range(k):
                     for a in range(hh):
                         for b in range(ww):
                             m = max(vals[fi, ki, dz, a, b] for dz in range(dd))
-                            assert tri.values[fi, ki, a, b] == m
+                            assert tri[fi, ki, a, b] == m
                     for dz in range(dd):
                         for a in range(hh):
                             m = max(vals[fi, ki, dz, a, wz] for wz in range(ww))
-                            assert tri.values[fi, k + ki, dz, a] == m
+                            assert tri[fi, k + ki, dz, a] == m
                         for b in range(ww):
                             m = max(vals[fi, ki, dz, a2, b] for a2 in range(hh))
-                            assert tri.values[fi, 2 * k + ki, dz, b] == m
+                            assert tri[fi, 2 * k + ki, dz, b] == m
         _report(8, "Gaussian rendering matches per-pixel formula to 1e-12; "
                    "tri-plane equals exhaustive axis-max")

@@ -12,6 +12,7 @@ from motok import cli
 from motok import heatmap as hm
 from motok import metrics as mx
 from motok import model as mdl
+from motok import quantizer as qz
 from motok import tensorcore as tc
 from motok import trainer as tr
 
@@ -81,6 +82,17 @@ class TestSynth:
     def test_bad_family_exit_code(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["synth", "--family", "nope", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("args", [
+        ["--width", "-5"], ["--width", "0"], ["--height", "0"],
+        ["--depth", "0", "--dims", "3"], ["--noise", "nan"], ["--noise", "inf"],
+        ["--noise", "-1"],
+    ], ids=lambda a: "".join(a).lstrip("-"))
+    def test_bad_extent_or_noise_code(self, tmp_path, args):
+        out = tmp_path / "x.jsonl"
+        assert cli.main(["synth", "--joints", "1", "--frames", "4",
+                         "--out", str(out)] + args) == 3
+        assert not out.exists()
 
 
 class TestTrain:
@@ -452,6 +464,71 @@ class TestEval:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["command"] == "eval"
         assert str(workspace["ckpt"]) in manifest["inputs"]
+
+
+TRIPLANE_CONFIG = {
+    "schema": 1,
+    "model": dict(TINY_CONFIG["model"], mode="triplane", in_channels=12, vocab=32),
+    "trainer": TINY_CONFIG["trainer"],
+    "window_stride": 8,
+}
+
+
+class TestTriplane:
+    """synth --dims 3 -> train -> tokenize -> detokenize -> eval on a tri-plane config."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("triplane")
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps(TRIPLANE_CONFIG))
+        kp = root / "motion.jsonl"
+        assert cli.main(["synth", "--dims", "3", "--joints", "4", "--frames", "24",
+                         "--width", "16", "--height", "16", "--depth", "16",
+                         "--seed", "5", "--out", str(kp)]) == 0
+        assert cli.main(["train", "--config", str(cfg), "--data", str(kp),
+                         "--steps", "2", "--seed", "5", "--out", str(root / "run")]) == 0
+        return {"root": root, "config": cfg, "keypoints": kp,
+                "ckpt": root / "run" / "ckpt_final.mck"}
+
+    def test_round_trip(self, run, tmp_path):
+        ckpt, kp = str(run["ckpt"]), str(run["keypoints"])
+        assert cli.main(["tokenize", "--ckpt", ckpt, "--in", kp, "--stride", "8",
+                         "--out", str(tmp_path / "w.mtk")]) == 0
+        volume = tmp_path / "w.mht"
+        assert cli.main(["detokenize", "--ckpt", ckpt, "--tokens",
+                         str(tmp_path / "w_0000.mtk"), "--out", str(volume)]) == 0
+        recon = tc.load_tensor(volume)
+        assert recon.shape == (8, 12, 16, 16)
+        assert recon.min() >= 0.0 and recon.max() <= 1.0
+
+        state, _ = mdl.load_checkpoint(ckpt)
+        wins = tr.prepare_windows(state.config, hm.window(hm.load_keypoints(kp), 8, 8))
+        produced = sorted(tmp_path.glob("w_*.mtk"))
+        assert len(produced) == len(wins) == 3
+        for path, win in zip(produced, wins):
+            _, grid, _ = mdl.encode(state, win[None])
+            assert np.array_equal(qz.load_tokens(path).indices, grid.indices)
+
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", kp, "--stride", "8",
+                         "--out", str(out)]) == 0
+        row = json.loads(out.with_suffix(".json").read_text())[0]
+        assert all(np.isfinite(row[k]) for k in ("ssim", "psnr", "l1", "tstd", "qloss"))
+
+    def test_channels_not_three_per_joint_code(self, run, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TRIPLANE_CONFIG,
+                                   "model": {**TRIPLANE_CONFIG["model"], "in_channels": 4}}))
+        assert cli.main(["train", "--config", str(bad), "--data", str(run["keypoints"]),
+                         "--steps", "1", "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_2d_keypoints_code(self, run, workspace, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(run["config"]),
+                         "--data", str(workspace["keypoints"]),
+                         "--steps", "1", "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestVersionAndHelp:

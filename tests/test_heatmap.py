@@ -34,13 +34,13 @@ class TestRender2d:
     def test_peak_at_keypoint(self):
         kp = KeypointSequence(np.array([[[5.0, 5.0]]]))
         vol = hm.render2d(kp, 16, 16, sigma=2.0)
-        assert vol.values[0, 0, 5, 5] == 1.0
+        assert vol[0, 0, 5, 5] == 1.0
 
     def test_known_distance_value(self):
         kp = KeypointSequence(np.array([[[0.0, 0.0]]]))
         vol = hm.render2d(kp, 8, 8, sigma=2.0)
         # squared distance 8 at sigma 2 -> e^-1
-        assert np.isclose(vol.values[0, 0, 2, 2], np.exp(-1.0), atol=1e-12)
+        assert np.isclose(vol[0, 0, 2, 2], np.exp(-1.0), atol=1e-12)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(0)
@@ -48,12 +48,12 @@ class TestRender2d:
         kp.validity[0, 1] = False
         vol = hm.render2d(kp, 12, 12, sigma=1.7)
         want = gaussian2d_oracle(kp, 12, 12, 1.7)
-        assert np.max(np.abs(vol.values - want)) < 1e-12
+        assert np.max(np.abs(vol - want)) < 1e-12
 
     def test_invalid_keypoint_all_zero(self):
         kp = KeypointSequence(np.array([[[3.0, 3.0]]]), np.array([[False]]))
         vol = hm.render2d(kp, 8, 8, sigma=2.0)
-        assert np.all(vol.values == 0)
+        assert np.all(vol == 0)
 
     def test_bad_sigma(self):
         kp = KeypointSequence(np.zeros((1, 1, 2)))
@@ -73,18 +73,18 @@ class TestRender2d:
         x, y = kp.coords[0, 0]
         gy = np.exp(-((np.arange(12) - y) ** 2) / (2 * sigma ** 2))
         gx = np.exp(-((np.arange(12) - x) ** 2) / (2 * sigma ** 2))
-        assert np.max(np.abs(vol.values[0, 0] - np.outer(gy, gx))) < 1e-12
+        assert np.max(np.abs(vol[0, 0] - np.outer(gy, gx))) < 1e-12
 
     def test_monotone_in_distance(self):
         kp = KeypointSequence(np.array([[[0.0, 0.0]]]))
         vol = hm.render2d(kp, 1, 16, sigma=3.0)
-        row = vol.values[0, 0, 0]
+        row = vol[0, 0, 0]
         assert np.all(np.diff(row) < 0)
 
     def test_sigma_scaling(self):
         kp = KeypointSequence(np.array([[[0.0, 0.0]]]))
-        v1 = hm.render2d(kp, 1, 32, sigma=2.0).values[0, 0, 0]
-        v2 = hm.render2d(kp, 1, 32, sigma=4.0).values[0, 0, 0]
+        v1 = hm.render2d(kp, 1, 32, sigma=2.0)[0, 0, 0]
+        v2 = hm.render2d(kp, 1, 32, sigma=4.0)[0, 0, 0]
         # doubling sigma maps value at distance d to old value at d/2
         for d in (2, 4, 6, 8):
             assert np.isclose(v2[d], v1[d // 2], atol=1e-12)
@@ -94,7 +94,7 @@ class TestRender3d:
     def test_peak(self):
         kp = KeypointSequence(np.array([[[3.0, 4.0, 5.0]]]))
         vol = hm.render3d(kp, 8, 8, 8, sigma=1.5)
-        assert vol.values[0, 0, 5, 4, 3] == 1.0
+        assert vol[0, 0, 5, 4, 3] == 1.0
 
     def test_axis_offset_e_minus_one(self):
         sigma = 2.0
@@ -104,7 +104,7 @@ class TestRender3d:
         d = np.sqrt(2 * sigma ** 2)
         val = np.exp(-d ** 2 / (2 * sigma ** 2))
         assert np.isclose(val, np.exp(-1.0))
-        assert np.isclose(vol.values[0, 0, 0, 0, 2], np.exp(-4 / 8))
+        assert np.isclose(vol[0, 0, 0, 0, 2], np.exp(-4 / 8))
 
     def test_full_volume_oracle(self):
         rng = np.random.default_rng(1)
@@ -118,41 +118,41 @@ class TestRender3d:
                     for j in range(6):
                         want = np.exp(-((j - x) ** 2 + (i - y) ** 2 + (d - z) ** 2)
                                       / (2 * sigma ** 2))
-                        assert abs(vol.values[0, k, d, i, j] - want) < 1e-12
+                        assert abs(vol[0, k, d, i, j] - want) < 1e-12
 
 
 class TestTriplane:
     def test_unit_voxel(self):
         vals = np.zeros((1, 1, 4, 4, 4))
         vals[0, 0, 2, 1, 3] = 1.0
-        tri = hm.project_triplane(hm.HeatmapVolume(vals, hm.LAYOUT_3D))
-        xy, yz, xz = tri.values[0, 0], tri.values[0, 1], tri.values[0, 2]
+        tri = hm.project_triplane(vals)
+        xy, yz, xz = tri[0, 0], tri[0, 1], tri[0, 2]
         assert xy[1, 3] == 1.0 and xy.sum() == 1.0
         assert yz[2, 1] == 1.0 and yz.sum() == 1.0
         assert xz[2, 3] == 1.0 and xz.sum() == 1.0
 
     def test_zero_volume(self):
-        tri = hm.project_triplane(hm.HeatmapVolume(np.zeros((2, 1, 3, 3, 3)), hm.LAYOUT_3D))
-        assert tri.values.shape == (2, 3, 3, 3)
-        assert np.all(tri.values == 0)
+        tri = hm.project_triplane(np.zeros((2, 1, 3, 3, 3)))
+        assert tri.shape == (2, 3, 3, 3)
+        assert np.all(tri == 0)
 
     def test_random_max_oracle(self):
         rng = np.random.default_rng(2)
         vals = rng.uniform(size=(2, 2, 5, 5, 5))
-        tri = hm.project_triplane(hm.HeatmapVolume(vals, hm.LAYOUT_3D))
+        tri = hm.project_triplane(vals)
         for f in range(2):
             for k in range(2):
-                assert np.array_equal(tri.values[f, k], vals[f, k].max(axis=0))
-                assert np.array_equal(tri.values[f, 2 + k], vals[f, k].max(axis=2))
-                assert np.array_equal(tri.values[f, 4 + k], vals[f, k].max(axis=1))
+                assert np.array_equal(tri[f, k], vals[f, k].max(axis=0))
+                assert np.array_equal(tri[f, 2 + k], vals[f, k].max(axis=2))
+                assert np.array_equal(tri[f, 4 + k], vals[f, k].max(axis=1))
 
     def test_wrong_layout(self):
         with pytest.raises(ArgumentError):
-            hm.project_triplane(hm.HeatmapVolume(np.zeros((1, 1, 3, 3)), hm.LAYOUT_2D))
+            hm.project_triplane(np.zeros((1, 1, 3, 3)))
 
     def test_mismatched_planes_rejected(self):
         with pytest.raises(ShapeError):
-            hm.project_triplane(hm.HeatmapVolume(np.zeros((1, 1, 2, 3, 4)), hm.LAYOUT_3D))
+            hm.project_triplane(np.zeros((1, 1, 2, 3, 4)))
 
 
 class TestWindow:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from motok import heatmap as hm
 from motok import model as mdl
 from motok import trainer as tr
 from motok.errors import ArgumentError, ConfigError, TrainingError
@@ -162,6 +163,24 @@ class TestPrepareWindows:
         assert wins[0].shape == (2, 8, 16, 16)
         # continuous coordinates rarely hit a pixel center exactly
         assert wins[0].max() > 0.9
+
+    def test_rendered_array_same_bytes(self):
+        # callers may render ahead of time and hand over the arrays
+        cfg = tiny_config()
+        t, h, w = cfg.input_extents
+        kp = tr.synth_motion(SyntheticMotionSpec(joints=cfg.in_channels, frames=t,
+                                                 width=w, height=h, seed=1))
+        got = tr.prepare_windows(cfg, [hm.render2d(kp, h, w, cfg.sigma)])
+        assert got[0].tobytes() == tr.prepare_windows(cfg, [kp])[0].tobytes()
+
+    def test_rendered_triplane_array_same_bytes(self):
+        cfg = tiny_config(mode="triplane", in_channels=6)
+        t, h, w = cfg.input_extents
+        kp = tr.synth_motion(SyntheticMotionSpec(joints=2, frames=t, dims=3, width=w,
+                                                 height=h, depth=h, seed=1))
+        vals = hm.project_triplane(hm.render3d(kp, h, h, w, cfg.sigma))
+        got = tr.prepare_windows(cfg, [vals])
+        assert got[0].tobytes() == tr.prepare_windows(cfg, [kp])[0].tobytes()
 
     def test_shape_mismatch(self):
         cfg = tiny_config()

@@ -9,10 +9,12 @@ REV is checked out with ``git worktree add`` under ``.bench_build/`` and
 removed again at the end. Both trees run the same jobs, each a
 ``python -m motok.cli`` process (so through ``cli.main``) at one BLAS thread:
 
-- ``synth`` of the README walkthrough's keypoints;
-- two 20-step training runs, checkpointing every 10 steps: the README config,
-  and the same with ``lambda_adv`` 0.1 and ``warmup_steps`` 0, so the
-  discriminator trains from the first step;
+- ``synth`` of the README walkthrough's keypoints, and of the same motion
+  family in 3-D (``--dims 3``, a 32^3 volume);
+- three 20-step training runs, checkpointing every 10 steps: the README
+  config; the same with ``lambda_adv`` 0.1 and ``warmup_steps`` 0, so the
+  discriminator trains from the first step; and a ``triplane`` run with 12
+  input channels on the 3-D keypoints;
 - on each run's final checkpoint, ``tokenize``, ``detokenize`` of the first
   token grid, and ``eval``.
 
@@ -51,12 +53,15 @@ CONFIG = {
     "trainer": {"lr": 0.001, "warmup_steps": 20},
     "window_stride": 16,
 }
+# Each run: its keypoint file, and its edit of CONFIG.
 RUNS = {
-    "readme": {"model": {}, "trainer": {"checkpoint_every": 10}},
-    "adv": {"model": {"lambda_adv": 0.1},
-            "trainer": {"warmup_steps": 0, "checkpoint_every": 10}},
+    "readme": ("motion.jsonl", {"model": {}, "trainer": {"checkpoint_every": 10}}),
+    "adv": ("motion.jsonl", {"model": {"lambda_adv": 0.1},
+                             "trainer": {"warmup_steps": 0, "checkpoint_every": 10}}),
+    "tri": ("motion3d.jsonl", {"model": {"mode": "triplane", "in_channels": 12},
+                               "trainer": {"checkpoint_every": 10}}),
 }
-ARTIFACTS = ("motion.jsonl", "*/loss_log.jsonl", "*/ckpt_*.mck", "*/*.mtk", "*/*.mht",
+ARTIFACTS = ("motion*.jsonl", "*/loss_log.jsonl", "*/ckpt_*.mck", "*/*.mtk", "*/*.mht",
              "*/report.csv", "*/report.json")
 
 
@@ -76,7 +81,9 @@ def run_jobs(tree: Path, out: Path) -> None:
     out.mkdir(parents=True)
     motok("synth", "--joints", 4, "--frames", 256, "--width", 32, "--height", 32,
           "--family", "walk-cycle", "--seed", SEED, "--out", "motion.jsonl")
-    for name, edit in RUNS.items():
+    motok("synth", "--dims", 3, "--joints", 4, "--frames", 256, "--width", 32, "--height", 32,
+          "--depth", 32, "--family", "walk-cycle", "--seed", SEED, "--out", "motion3d.jsonl")
+    for name, (data, edit) in RUNS.items():
         config = copy.deepcopy(CONFIG)
         for section, fields in edit.items():
             config[section].update(fields)
@@ -84,13 +91,13 @@ def run_jobs(tree: Path, out: Path) -> None:
         run.mkdir()
         (run / "config.json").write_text(json.dumps(config), encoding="utf-8")
         ckpt = f"{name}/ckpt_final.mck"
-        motok("train", "--config", f"{name}/config.json", "--data", "motion.jsonl",
+        motok("train", "--config", f"{name}/config.json", "--data", data,
               "--steps", STEPS, "--seed", SEED, "--out", name)
-        motok("tokenize", "--ckpt", ckpt, "--in", "motion.jsonl", "--stride", 16,
+        motok("tokenize", "--ckpt", ckpt, "--in", data, "--stride", 16,
               "--out", f"{name}/tokens.mtk")
         motok("detokenize", "--ckpt", ckpt, "--tokens", f"{name}/tokens_0000.mtk",
               "--out", f"{name}/recon.mht")
-        motok("eval", "--ckpt", ckpt, "--data", "motion.jsonl", "--stride", 16,
+        motok("eval", "--ckpt", ckpt, "--data", data, "--stride", 16,
               "--out", f"{name}/report.csv")
 
 
