@@ -55,10 +55,11 @@ class KeypointSequence:
         return self.coords.shape[2]
 
 
-def _gauss_1d(grid: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    # centers [F,K] against grid [E] -> [F,K,E]
-    d = grid[None, None, :] - centers[:, :, None]
-    return np.exp(-(d * d) / (2.0 * sigma * sigma))
+def _gauss_1d(kp: KeypointSequence, axis: int, extent: int, sigma: float) -> np.ndarray:
+    # coordinate ``axis`` [F,K] against the grid 0..extent-1 -> [F,K,extent];
+    # all zeros for an invalid joint, whatever its (maybe NaN) coordinate
+    d = np.arange(extent, dtype=np.float64)[None, None, :] - kp.coords[:, :, axis, None]
+    return np.where(kp.validity[:, :, None], np.exp(-(d * d) / (2.0 * sigma * sigma)), 0.0)
 
 
 def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> np.ndarray:
@@ -71,11 +72,8 @@ def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> np.ndarray:
         raise ArgumentError(f"sigma must be positive, got {sigma}")
     if kp.dims != 2:
         raise ArgumentError(f"render2d needs 2-D keypoints, got dims={kp.dims}")
-    gy = _gauss_1d(np.arange(h, dtype=np.float64), kp.coords[:, :, 1], sigma)
-    gx = _gauss_1d(np.arange(w, dtype=np.float64), kp.coords[:, :, 0], sigma)
-    vals = gy[:, :, :, None] * gx[:, :, None, :]
-    vals *= kp.validity[:, :, None, None]
-    return vals
+    gy, gx = _gauss_1d(kp, 1, h, sigma), _gauss_1d(kp, 0, w, sigma)
+    return gy[:, :, :, None] * gx[:, :, None, :]
 
 
 def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> np.ndarray:
@@ -84,12 +82,8 @@ def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> np.n
         raise ArgumentError(f"sigma must be positive, got {sigma}")
     if kp.dims != 3:
         raise ArgumentError(f"render3d needs 3-D keypoints, got dims={kp.dims}")
-    gz = _gauss_1d(np.arange(d, dtype=np.float64), kp.coords[:, :, 2], sigma)
-    gy = _gauss_1d(np.arange(h, dtype=np.float64), kp.coords[:, :, 1], sigma)
-    gx = _gauss_1d(np.arange(w, dtype=np.float64), kp.coords[:, :, 0], sigma)
-    vals = gz[:, :, :, None, None] * gy[:, :, None, :, None] * gx[:, :, None, None, :]
-    vals *= kp.validity[:, :, None, None, None]
-    return vals
+    gz, gy, gx = (_gauss_1d(kp, axis, n, sigma) for axis, n in ((2, d), (1, h), (0, w)))
+    return gz[:, :, :, None, None] * gy[:, :, None, :, None] * gx[:, :, None, None, :]
 
 
 def project_triplane(v: np.ndarray) -> np.ndarray:

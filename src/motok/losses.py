@@ -7,9 +7,6 @@ non-adversarial ablation bit-identical to a run without a discriminator.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensorcore as tc
@@ -102,25 +99,3 @@ def total_generator_loss(perceptual, l1, vq, adv_g,
         total = tc.add(total, tc.mul(adv_g, lam))
     return total
 
-
-@dataclass
-class LossBreakdown:
-    """One training step's loss components."""
-
-    rec_l1: float
-    rec_perceptual: float
-    vq: float
-    adv_g: float
-    adv_d: float
-    total_g: float
-
-    def json_line(self, step: int) -> str:
-        return json.dumps({
-            "step": step,
-            "l1": self.rec_l1,
-            "perc": self.rec_perceptual,
-            "vq": self.vq,
-            "g": self.adv_g,
-            "d": self.adv_d,
-            "total": self.total_g,
-        }, separators=(",", ":"))

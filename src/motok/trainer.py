@@ -9,8 +9,9 @@ trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import losses as ls
 from . import model as mdl
 from . import quantizer as qz
 from . import tensorcore as tc
-from .errors import ArgumentError, TrainingError
+from .errors import ArgumentError, ConfigError, DataError, TrainingError
 from .heatmap import KeypointSequence
 from .model import ModelConfig, ModelState, check_number, stream_rng
 from .tensorcore import Tape, Tensor
@@ -28,13 +29,8 @@ from .tensorcore import Tape, Tensor
 
 @dataclass
 class OptimState:
-    """Decoupled-weight-decay Adam moments for one parameter group."""
+    """AdamW moments for one parameter group; the hyperparameters are ``TrainerConfig``'s."""
 
-    lr: float = 2.25e-5
-    beta1: float = 0.5
-    beta2: float = 0.9
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -47,22 +43,32 @@ class OptimState:
             out[f"{prefix}.v.{name}"] = arr
         return out
 
-    def import_buffers(self, prefix: str, buffers: dict) -> None:
-        self.t = int(buffers[f"{prefix}.t"][0])
+    def import_buffers(self, prefix: str, buffers: dict, params: dict) -> None:
+        """Take the moments ``export_buffers`` wrote for the group ``params``;
+        DataError names a buffer that is missing or does not fit it."""
+        t = buffers.get(f"{prefix}.t")
+        if t is None or t.shape != (1,) or t.dtype.kind != "i" or t[0] < 0:
+            raise DataError(f"optimizer buffer {prefix}.t must hold one integer >= 0")
+        self.t = int(t[0])
         self.m = {}
         self.v = {}
         for key, arr in buffers.items():
-            if key.startswith(f"{prefix}.m."):
-                self.m[key[len(prefix) + 3:]] = arr.copy()
-            elif key.startswith(f"{prefix}.v."):
-                self.v[key[len(prefix) + 3:]] = arr.copy()
+            if not key.startswith((f"{prefix}.m.", f"{prefix}.v.")):
+                continue
+            name = key[len(prefix) + 3:]
+            if name not in params:
+                raise DataError(f"optimizer buffer {key} names no parameter of {prefix}")
+            if arr.shape != params[name].shape:
+                raise DataError(f"optimizer buffer {key} has extents {arr.shape}, "
+                                f"its parameter {params[name].shape}")
+            (self.m if key[len(prefix) + 1] == "m" else self.v)[name] = arr.copy()
 
 
-def adamw_step(params: dict, grads: dict, opt: OptimState) -> None:
+def adamw_step(params: dict, grads: dict, opt: OptimState, tcfg: TrainerConfig) -> None:
     """One AdamW update over a named parameter group, in sorted-name order."""
     opt.t += 1
-    bc1 = 1.0 - opt.beta1 ** opt.t
-    bc2 = 1.0 - opt.beta2 ** opt.t
+    bc1 = 1.0 - tcfg.beta1 ** opt.t
+    bc2 = 1.0 - tcfg.beta2 ** opt.t
     for name in sorted(params):
         p = params[name]
         g = grads.get(name)
@@ -74,13 +80,13 @@ def adamw_step(params: dict, grads: dict, opt: OptimState) -> None:
             opt.m[name] = np.zeros_like(p.data, dtype=np.float32)
             opt.v[name] = np.zeros_like(p.data, dtype=np.float32)
         g32 = g.astype(np.float32, copy=False)
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g32
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * (g32 * g32)
-        if opt.weight_decay:
-            p.data -= np.float32(opt.lr * opt.weight_decay) * p.data
+        opt.m[name] = tcfg.beta1 * opt.m[name] + (1.0 - tcfg.beta1) * g32
+        opt.v[name] = tcfg.beta2 * opt.v[name] + (1.0 - tcfg.beta2) * (g32 * g32)
+        if tcfg.weight_decay:
+            p.data -= np.float32(tcfg.lr * tcfg.weight_decay) * p.data
         mhat = opt.m[name] / np.float32(bc1)
         vhat = opt.v[name] / np.float32(bc2)
-        p.data -= np.float32(opt.lr) * mhat / (np.sqrt(vhat) + np.float32(opt.eps))
+        p.data -= np.float32(tcfg.lr) * mhat / (np.sqrt(vhat) + np.float32(tcfg.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +205,6 @@ class TrainerConfig:
 class TrainResult:
     state: ModelState
     log_lines: list
-    opt_g: OptimState
-    opt_d: OptimState
 
 
 def prepare_windows(config: ModelConfig, data) -> list:
@@ -254,8 +258,13 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     Alternates one generator update (reconstruction + VQ + weighted
     adversarial) with one discriminator hinge update per step. With
     ``lambda_adv == 0`` the discriminator is never built, touched, or logged.
+    A given ``state`` must have been made with ``config`` and ``seed``.
     """
     tcfg = tcfg or TrainerConfig()
+    if state is not None and (state.config != config or state.seed != seed):
+        saved, given = asdict(state.config) | {"seed": state.seed}, asdict(config) | {"seed": seed}
+        raise ConfigError("the state to resume differs from this run in " + ", ".join(
+            f"{k} ({saved[k]!r}, not {given[k]!r})" for k in saved if saved[k] != given[k]))
     windows = prepare_windows(config, data)
     if not windows:
         raise ArgumentError("train requires non-empty data")
@@ -263,21 +272,18 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     if state is None:
         state = mdl.build(config, seed, include_discriminator=adversarial)
 
-    opt_kwargs = dict(lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2,
-                      eps=tcfg.eps, weight_decay=tcfg.weight_decay)
-    opt_g = OptimState(**opt_kwargs)
-    opt_d = OptimState(**opt_kwargs)
-    if opt_buffers:
-        opt_g.import_buffers("opt_g", opt_buffers)
-        if adversarial:
-            opt_d.import_buffers("opt_d", opt_buffers)
-
-    psi = ls.FeatureExtractor(config.in_channels,
-                              seed=int(stream_rng(seed, "features").integers(2 ** 31)))
     gen_params = {n: p for n, p in state.params.items()
                   if n.startswith(("enc.", "dec."))}
     gen_params["codebook.entries"] = state.codebook.entries
     disc_params = {n: p for n, p in state.params.items() if n.startswith("disc.")}
+    opt_g, opt_d = OptimState(), OptimState()
+    if opt_buffers is not None:
+        opt_g.import_buffers("opt_g", opt_buffers, gen_params)
+        if adversarial:
+            opt_d.import_buffers("opt_d", opt_buffers, disc_params)
+
+    psi = ls.FeatureExtractor(config.in_channels,
+                              seed=int(stream_rng(seed, "features").integers(2 ** 31)))
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -324,7 +330,7 @@ def train(config: ModelConfig, data, steps: int, seed: int,
         g_grads = _clip_grads(_collect_grads(gen_params), tcfg.grad_clip)
         for p in disc_params.values():
             p.grad = None  # generator pass must not update the discriminator
-        adamw_step(gen_params, g_grads, opt_g)
+        adamw_step(gen_params, g_grads, opt_g, tcfg)
 
         d_val = 0.0
         if adv_active:
@@ -338,19 +344,17 @@ def train(config: ModelConfig, data, steps: int, seed: int,
                     raise TrainingError(f"non-finite discriminator loss at step {step}")
                 tc.backward(d_loss)
             d_grads = _clip_grads(_collect_grads(disc_params), tcfg.grad_clip)
-            adamw_step(disc_params, d_grads, opt_d)
+            adamw_step(disc_params, d_grads, opt_d, tcfg)
 
         if tcfg.reinit_dead_every and step % tcfg.reinit_dead_every == 0:
             qz.reinit_dead_entries(state.codebook, stream_rng(seed, f"reinit.{step}"))
             state.codebook.reset_usage()
 
         state.step = step
-        breakdown = ls.LossBreakdown(
-            rec_l1=float(l1.numpy()), rec_perceptual=float(perc.numpy()),
-            vq=float(vq.numpy()),
-            adv_g=float(adv_g.numpy()) if adv_g is not None else 0.0,
-            adv_d=d_val, total_g=total_val)
-        line = breakdown.json_line(step)
+        line = json.dumps({"step": step, "l1": float(l1.numpy()), "perc": float(perc.numpy()),
+                           "vq": float(vq.numpy()),
+                           "g": float(adv_g.numpy()) if adv_g is not None else 0.0,
+                           "d": d_val, "total": total_val}, separators=(",", ":"))
         log_lines.append(line)
         if log_stream is not None:
             log_stream.write(line + "\n")
@@ -358,4 +362,4 @@ def train(config: ModelConfig, data, steps: int, seed: int,
             checkpoint(f"{step:07d}")
 
     checkpoint("final")
-    return TrainResult(state, log_lines, opt_g, opt_d)
+    return TrainResult(state, log_lines)

@@ -212,6 +212,65 @@ class TestTrain:
                          "--data", str(short), "--steps", "1",
                          "--out", str(tmp_path / "o")]) == 3
 
+    def resume(self, workspace, tmp_path, ckpt, config=None, seed="3"):
+        """``train --resume ckpt --steps 4`` on the workspace data -> exit code."""
+        return cli.main(["train", "--config", str(config or workspace["config"]),
+                         "--data", str(workspace["keypoints"]), "--steps", "4",
+                         "--seed", seed, "--resume", str(ckpt), "--out", str(tmp_path / "o")])
+
+    # The checkpoint was trained at input_extents [8,16,16], sigma 2,
+    # lambda_adv 0 and seed 3; each case resumes it with one of them changed.
+    RESUME_MISMATCH = {
+        "input_extents": ({"input_extents": [16, 16, 16]}, "3"),
+        "sigma": ({"sigma": 5.0}, "3"),
+        "lambda_adv": ({"lambda_adv": 0.1}, "3"),
+        "seed": ({}, "4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RESUME_MISMATCH))
+    def test_resume_other_config_or_seed_code(self, workspace, tmp_path, capsys, case):
+        model, seed = self.RESUME_MISMATCH[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"], **model}}))
+        assert self.resume(workspace, tmp_path, workspace["ckpt"], cfg, seed) == 3
+        err = capsys.readouterr().err
+        assert case in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "ckpt_final.mck").exists()
+
+    # Header edits of the generator's optimizer buffers, and the buffer each names.
+    BAD_OPT_BUFFERS = {
+        "t-missing": (lambda h: {**h, "manifest": {
+            k: v for k, v in h["manifest"].items() if k != "extra.opt_g.t"}}, "opt_g.t"),
+        "t-two-values": (lambda h: h["manifest"]["extra.opt_g.t"].update(extents=[2]),
+                         "opt_g.t"),
+        "t-not-integer": (lambda h: h["manifest"]["extra.opt_g.t"].update(dtype="f64"),
+                          "opt_g.t"),
+        "moment-of-no-parameter": (lambda h: {**h, "manifest": {
+            k.replace(".m.enc.stem.w", ".m.enc.nope.w"): v
+            for k, v in h["manifest"].items()}}, "opt_g.m.enc.nope.w"),
+        "moment-extents": (lambda h: h["manifest"]["extra.opt_g.v.enc.stem.w"].update(
+            extents=[1]), "opt_g.v.enc.stem.w"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPT_BUFFERS))
+    def test_resume_bad_optimizer_buffer_code(self, workspace, tmp_path, capsys, case):
+        edit, name = self.BAD_OPT_BUFFERS[case]
+        bad = tmp_path / "bad.mck"
+        rewrite_checkpoint_header(workspace["ckpt"], bad, edit)
+        assert self.resume(workspace, tmp_path, bad) == 5
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @settings(FUZZ, max_examples=25)
+    @given(data=st.data())
+    def test_corrupt_checkpoint_resume_never_crashes(self, workspace, tmp_path, data):
+        # A header edit may also give a valid checkpoint of another config or seed (exit 3).
+        blob = workspace["ckpt"].read_bytes()
+        head = 8 + int.from_bytes(blob[4:8], "little")
+        bad = tmp_path / "bad.mck"
+        bad.write_bytes(corrupt(blob, data.draw(corruptions(len(blob), head))))
+        assert self.resume(workspace, tmp_path, bad) in (0, 3, 5)
+
 
 class TestTokenizeDetokenize:
     def test_round_trip_fixed_point(self, workspace, tmp_path, capsys):
@@ -455,6 +514,21 @@ class TestEval:
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload[0]["model"] == "smoke"
         assert np.isfinite(payload[0]["ssim"])
+
+    def test_invalid_joint_with_nan_coordinates(self, workspace, tmp_path):
+        # Joint 0 is marked invalid in every frame, with NaN coordinates.
+        lines = []
+        for line in workspace["keypoints"].read_text().splitlines():
+            rec = json.loads(line)
+            rec["kp"][0], rec["valid"][0] = [float("nan")] * 2, False
+            lines.append(json.dumps(rec) + "\n")
+        data = tmp_path / "nan.jsonl"
+        data.write_text("".join(lines))
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--ckpt", str(workspace["ckpt"]), "--data", str(data),
+                         "--stride", "8", "--out", str(out)]) == 0
+        row = json.loads(out.with_suffix(".json").read_text())[0]
+        assert all(np.isfinite(row[k]) for k in ("ssim", "psnr", "l1", "tstd", "qloss"))
 
     def test_manifest_written(self, workspace, tmp_path):
         out = tmp_path / "report.csv"

@@ -55,6 +55,15 @@ class TestRender2d:
         vol = hm.render2d(kp, 8, 8, sigma=2.0)
         assert np.all(vol == 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_invalid_nonfinite_keypoint_all_zero(self, bad):
+        coords = np.array([[[bad, bad], [3.0, 4.0]], [[1.0, bad], [2.0, 2.0]]])
+        valid = np.array([[False, True], [False, True]])
+        vol = hm.render2d(KeypointSequence(coords, valid), 8, 8, sigma=2.0)
+        assert np.all(vol[:, 0] == 0)
+        assert np.array_equal(vol[:, 1],
+                              hm.render2d(KeypointSequence(coords[:, 1:]), 8, 8, 2.0)[:, 0])
+
     def test_bad_sigma(self):
         kp = KeypointSequence(np.zeros((1, 1, 2)))
         with pytest.raises(ArgumentError):
@@ -119,6 +128,14 @@ class TestRender3d:
                         want = np.exp(-((j - x) ** 2 + (i - y) ** 2 + (d - z) ** 2)
                                       / (2 * sigma ** 2))
                         assert abs(vol[0, k, d, i, j] - want) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_invalid_nonfinite_keypoint_all_zero(self, bad):
+        coords = np.array([[[bad, 1.0, bad], [3.0, 4.0, 5.0]]])
+        vol = hm.render3d(KeypointSequence(coords, np.array([[False, True]])), 8, 8, 8, 1.5)
+        assert np.all(vol[:, 0] == 0)
+        assert np.array_equal(vol[:, 1],
+                              hm.render3d(KeypointSequence(coords[:, 1:]), 8, 8, 8, 1.5)[:, 0])
 
 
 class TestTriplane:

@@ -4,7 +4,7 @@ import pytest
 from motok import losses as ls
 from motok import tensorcore as tc
 from motok.errors import ArgumentError, ShapeError
-from motok.losses import FeatureExtractor, LossBreakdown
+from motok.losses import FeatureExtractor
 from motok.tensorcore import Tape, Tensor, backward
 
 from helpers import check_grads
@@ -166,20 +166,3 @@ class TestTotal:
 
         assert check_grads(build, [x]) < 1e-5
 
-
-class TestBreakdown:
-    def test_json_line_schema(self):
-        import json
-        bd = LossBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.0)
-        rec = json.loads(bd.json_line(7))
-        assert set(rec) == {"step", "l1", "perc", "vq", "g", "d", "total"}
-        assert rec["step"] == 7
-
-    def test_composition_invariant(self):
-        alpha, beta, lam = 0.5, 2.0, 0.1
-        perc, l1v, vq, adv = 0.3, 0.2, 1.1, -0.4
-        total = alpha * perc + beta * l1v + vq + lam * adv
-        bd = LossBreakdown(l1v, perc, vq, adv, 0.0, total)
-        assert np.isclose(bd.total_g,
-                          alpha * bd.rec_perceptual + beta * bd.rec_l1
-                          + bd.vq + lam * bd.adv_g)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from motok import heatmap as hm
 from motok import model as mdl
 from motok import trainer as tr
-from motok.errors import ArgumentError, ConfigError, TrainingError
+from motok.errors import ArgumentError, ConfigError, DataError, TrainingError
 from motok.model import ModelConfig
 from motok.tensorcore import Tensor
 from motok.trainer import OptimState, SyntheticMotionSpec, TrainerConfig
@@ -63,49 +64,73 @@ class TestAdamw:
         lr, b1, b2, eps, wd = 1e-2, 0.5, 0.9, 1e-8, 1e-2
 
         p = Tensor(x0.copy(), requires_grad=True)
-        opt = OptimState(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        opt = OptimState()
+        tcfg = TrainerConfig(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
         want = adamw_scalar_reference(x0, grads, lr, b1, b2, eps, wd)
         for t in range(10):
-            tr.adamw_step({"p": p}, {"p": grads[t]}, opt)
+            tr.adamw_step({"p": p}, {"p": grads[t]}, opt, tcfg)
             assert np.max(np.abs(p.data.astype(np.float64)
                                  - np.array(want[t], dtype=np.float64))) < 1e-12
 
     def test_no_decay_defaults(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        opt = OptimState(lr=0.1, weight_decay=0.0)
-        tr.adamw_step({"p": p}, {"p": np.zeros(2, dtype=np.float32)}, opt)
+        opt = OptimState()
+        tr.adamw_step({"p": p}, {"p": np.zeros(2, dtype=np.float32)}, opt,
+                      TrainerConfig(lr=0.1, weight_decay=0.0))
         assert np.array_equal(p.data, np.ones(2, dtype=np.float32))
 
     def test_decoupled_decay_with_zero_grad(self):
         p = Tensor(np.full(2, 2.0, dtype=np.float32), requires_grad=True)
-        opt = OptimState(lr=0.1, weight_decay=0.5)
-        tr.adamw_step({"p": p}, {"p": np.zeros(2, dtype=np.float32)}, opt)
+        opt = OptimState()
+        tr.adamw_step({"p": p}, {"p": np.zeros(2, dtype=np.float32)}, opt,
+                      TrainerConfig(lr=0.1, weight_decay=0.5))
         assert np.allclose(p.data, 2.0 * (1 - 0.1 * 0.5))
 
     def test_missing_grad_skipped(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         opt = OptimState()
-        tr.adamw_step({"p": p}, {}, opt)
+        tr.adamw_step({"p": p}, {}, opt, TrainerConfig())
         assert np.array_equal(p.data, np.ones(2, dtype=np.float32))
 
     def test_nonfinite_grad_raises(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(TrainingError) as err:
-            tr.adamw_step({"p": p}, {"p": np.array([np.nan, 0.0])}, OptimState())
+            tr.adamw_step({"p": p}, {"p": np.array([np.nan, 0.0])}, OptimState(),
+                          TrainerConfig())
         assert "p" in str(err.value)
 
     def test_buffer_round_trip(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
-        opt = OptimState(lr=1e-2)
+        opt = OptimState()
         for _ in range(3):
-            tr.adamw_step({"p": p}, {"p": rng.normal(size=3).astype(np.float32)}, opt)
+            tr.adamw_step({"p": p}, {"p": rng.normal(size=3).astype(np.float32)}, opt,
+                          TrainerConfig(lr=1e-2))
         buffers = opt.export_buffers("opt_g")
-        fresh = OptimState(lr=1e-2)
-        fresh.import_buffers("opt_g", buffers)
+        fresh = OptimState()
+        fresh.import_buffers("opt_g", buffers, {"p": p})
         assert fresh.t == opt.t
         assert np.array_equal(fresh.m["p"], opt.m["p"])
         assert np.array_equal(fresh.v["p"], opt.v["p"])
+
+    # Buffers that do not fit the group {"p": 3 elements}; each must raise
+    # DataError naming the buffer.
+    BAD_BUFFERS = {
+        "t-missing": ({}, "opt_g.t"),
+        "t-negative": ({"opt_g.t": np.array([-1])}, "opt_g.t"),
+        "t-two-values": ({"opt_g.t": np.array([1, 2])}, "opt_g.t"),
+        "t-float": ({"opt_g.t": np.array([1.0])}, "opt_g.t"),
+        "moment-of-no-parameter": ({"opt_g.t": np.array([1]), "opt_g.m.q": np.zeros(3)},
+                                   "opt_g.m.q"),
+        "moment-extents": ({"opt_g.t": np.array([1]), "opt_g.v.p": np.zeros(4)}, "opt_g.v.p"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_BUFFERS))
+    def test_import_rejects_buffers_not_fitting_group(self, case):
+        buffers, name = self.BAD_BUFFERS[case]
+        p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        with pytest.raises(DataError, match=re.escape(name)):
+            OptimState().import_buffers("opt_g", buffers, {"p": p})
 
 
 class TestSynthMotion:
@@ -311,3 +336,31 @@ class TestTrainLoop:
     def test_empty_data_rejected(self):
         with pytest.raises(ArgumentError):
             tr.train(tiny_config(), [], steps=1, seed=0)
+
+
+class TestLossLog:
+    """The lines of a real run's loss log."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        cfg = tiny_config(lambda_adv=0.1, alpha_perceptual=0.5, beta_l1=2.0)
+        res = tr.train(cfg, tiny_windows(cfg), steps=4, seed=2,
+                       tcfg=fast_tcfg(warmup_steps=2))
+        return res.log_lines
+
+    def test_log_line_schema(self, lines):
+        for step, line in enumerate(lines, 1):
+            rec = json.loads(line)
+            assert list(rec) == ["step", "l1", "perc", "vq", "g", "d", "total"]
+            assert rec["step"] == step
+            assert line == json.dumps(rec, separators=(",", ":"))
+
+    def test_total_is_weighted_sum_of_logged_terms(self, lines):
+        # total_generator_loss's order in float32: ((alpha*perc + beta*l1) + vq) + lam*g;
+        # before warmup g is 0.0, so the last term adds nothing.
+        f = np.float32
+        recs = [json.loads(line) for line in lines]
+        assert [r["g"] != 0.0 for r in recs] == [False, False, True, True]
+        for r in recs:
+            total = f(r["perc"]) * f(0.5) + f(r["l1"]) * f(2.0) + f(r["vq"]) + f(r["g"]) * f(0.1)
+            assert float(total) == r["total"], r

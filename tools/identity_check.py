@@ -16,7 +16,10 @@ removed again at the end. Both trees run the same jobs, each a
   discriminator trains from the first step; and a ``triplane`` run with 12
   input channels on the 3-D keypoints;
 - on each run's final checkpoint, ``tokenize``, ``detokenize`` of the first
-  token grid, and ``eval``.
+  token grid, and ``eval``;
+- ``adv_resumed``: the ``lambda_adv`` run again, resumed from its step-10
+  checkpoint with the same config and seed. Its final checkpoint must equal
+  the uninterrupted run's byte for byte, or the job fails.
 
 Then it compares the SHA-256 of every artifact the jobs write: the keypoints,
 ``loss_log.jsonl``, every ``ckpt_*.mck``, ``.mtk`` and ``.mht``, and the eval
@@ -99,6 +102,12 @@ def run_jobs(tree: Path, out: Path) -> None:
               "--out", f"{name}/recon.mht")
         motok("eval", "--ckpt", ckpt, "--data", data, "--stride", 16,
               "--out", f"{name}/report.csv")
+    motok("train", "--config", "adv/config.json", "--data", "motion.jsonl", "--steps", STEPS,
+          "--seed", SEED, "--resume", "adv/ckpt_0000010.mck", "--out", "adv_resumed")
+    if (out / "adv_resumed/ckpt_final.mck").read_bytes() != \
+            (out / "adv/ckpt_final.mck").read_bytes():
+        raise RuntimeError(f"{tree.name}: adv_resumed/ckpt_final.mck differs from "
+                           "adv/ckpt_final.mck")
 
 
 def digests(out: Path) -> dict:
