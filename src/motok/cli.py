@@ -111,6 +111,32 @@ def _log_lines_through(log_path: Path, step: int) -> list:
     return kept
 
 
+class _LogFromFirstWrite:
+    """The loss log, rewritten to ``kept`` at its first write or flush.
+
+    ``tr.train`` writes and flushes only after it has accepted the resumed
+    state and its optimizer buffers, so a rejected resume leaves the old log
+    as it was.
+    """
+
+    def __init__(self, log_path: Path, kept: list):
+        self.log_path, self.kept, self.stream = log_path, kept, None
+
+    def write(self, text: str) -> int:
+        if self.stream is None:
+            self.stream = open(self.log_path, "w", encoding="utf-8")
+            self.stream.writelines(self.kept)
+        return self.stream.write(text)
+
+    def flush(self):
+        self.write("")
+        self.stream.flush()
+
+    def close(self):
+        if self.stream is not None:
+            self.stream.close()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -147,11 +173,13 @@ def cmd_train(args) -> int:
     if args.resume:
         state, opt_buffers = mdl.load_checkpoint(args.resume)
         kept = _log_lines_through(log_path, state.step)
-    with open(log_path, "w", encoding="utf-8") as log_stream:
-        log_stream.writelines(kept)
+    log_stream = _LogFromFirstWrite(log_path, kept)
+    try:
         result = tr.train(model_cfg, items, args.steps, seed, trainer_cfg,
                           state=state, opt_buffers=opt_buffers,
                           out_dir=out_dir, log_stream=log_stream)
+    finally:
+        log_stream.close()
     final = out_dir / "ckpt_final.mck"
     write_manifest(out_dir / "manifest.json", "train",
                    {"model": asdict(model_cfg), "trainer": asdict(trainer_cfg),

@@ -333,15 +333,24 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     Forward and backward loop over the batch. Forward lowers each sample by
     im2col into ``cols`` [C*kt*kh*kw, to*ho*wo], a slab of output T-planes at
     a time, and GEMMs each slab into its columns of the output. Memory
-    contract: forward keeps nothing for backward but its inputs; it holds one
-    slab of ``cols`` (about ``_SLAB_BYTES``) and one padded sample, in buffers
-    reused for every slab and sample, so memory does not grow with batch or
-    with T x H x W. Backward computes only the gradients whose inputs require
-    one and returns None for the others; the weight gradient rebuilds one
-    sample's full ``cols`` at a time from ``x``, in one reused buffer. The
-    input gradient keeps no per-sample ``dcols``: it GEMMs one slab of output
-    T-planes at a time (about ``_SLAB_BYTES`` of columns, or one plane) into
-    one reused buffer and adds each tap's share into the padded gradient.
+    contract, beyond the inputs, the output and the gradients, all in buffers
+    reused for every slab, block and sample:
+
+    - Forward keeps nothing for backward but its inputs. It holds one slab of
+      ``cols`` (about ``_SLAB_BYTES``, or one output plane's) and the
+      zero-bordered input planes that slab reads.
+    - Backward computes only the gradients whose inputs require one and
+      returns None for the others.
+    - The weight gradient rebuilds ``cols`` from ``x`` one block of input
+      channels at a time (about ``_SLAB_BYTES``, or one channel's), from a
+      zero-bordered copy of that block's channels.
+    - The input gradient keeps no per-sample ``dcols``: it GEMMs one slab of
+      output T-planes at a time (about ``_SLAB_BYTES`` of columns, or one
+      plane) and adds each tap's share into one sample's padded gradient.
+
+    Nothing it holds grows with the batch. With T x H x W grow only one
+    channel's ``cols``, where they exceed ``_SLAB_BYTES``, and one sample's
+    padded input gradient.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -372,22 +381,27 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     plane = ho * wo
     p = to * plane
 
-    def padded_windows():  # a zero-bordered sample buffer's interior and [C,kt,kh,kw,to,ho,wo] windows
-        xp = np.zeros((c, tp, hp, wp), dtype=x.dtype)
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-        return (xp[:, pt:pt + t, ph:ph + h, pw:pw + w],
-                win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3))
+    def windows(buf):  # the [C,kt,kh,kw,T',ho,wo] windows of a zero-bordered [C,T',hp,wp] buffer
+        win = np.lib.stride_tricks.sliding_window_view(buf, (kt, kh, kw), axis=(1, 2, 3))
+        return win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
 
     rows = min(to, max(1, _SLAB_BYTES // (ck * plane * x.data.itemsize)))
     slab = np.empty(ck * rows * plane, dtype=x.dtype)
-    inner, win = padded_windows()
+    span = (rows - 1) * st + kt
+    xs = np.zeros((c, span, hp, wp), dtype=x.dtype)  # the padded input planes of one slab
+    win = windows(xs)
     out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
     for b in range(n):
-        inner[...] = x.data[b]
         for t0 in range(0, to, rows):
             r = min(rows, to - t0)
+            q0 = t0 * st - pt  # the input plane in the slab's first padded plane
+            a = min(max(0, -q0), span)
+            e = max(a, min(span, t - q0))  # planes [a, e) hold input, the rest are T border
+            xs[:, :a] = 0
+            xs[:, a:e, ph:ph + h, pw:pw + w] = x.data[b, :, q0 + a:q0 + e]
+            xs[:, e:] = 0
             cols = slab[:ck * r * plane].reshape(ck, r * plane)
-            np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, t0:t0 + r])
+            np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, :r])
             np.matmul(w2, cols, out=out[b, :, t0 * plane:(t0 + r) * plane])
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
@@ -397,16 +411,29 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         g2 = np.ascontiguousarray(g.reshape(n, co, p))
         gw = gx = gb = None
         if weight.requires_grad:
-            # Rebuilt per-sample cols; their GEMMs summed in batch order, as a batched sum(axis=0) does.
-            inner, win = padded_windows()
-            cols = np.empty((ck, p), dtype=x.dtype)
+            # Rebuilt cols, one block of input channels at a time: each block's GEMM
+            # fills its columns of the sample's gw, and the samples sum in batch
+            # order, as a batched sum(axis=0) does. The blocks are as even as c
+            # allows, since a narrow tail block's GEMM can round unlike the whole one.
+            kk = kt * kh * kw
+            nb = -(-c // max(1, _SLAB_BYTES // (kk * p * x.data.itemsize)))
+            cb = -(-c // nb)
+            xb = np.zeros((cb, tp, hp, wp), dtype=x.dtype)
+            win = windows(xb)
+            cols = np.empty((cb * kk, p), dtype=x.dtype)
+            gw = np.empty((co, ck), dtype=np.result_type(g2, x.data))
+            gwb = np.empty_like(gw)
             for b in range(n):
-                inner[...] = x.data[b]
-                np.copyto(cols.reshape(c, kt, kh, kw, to, ho, wo), win)
-                gwb = np.matmul(g2[b], cols.T)
-                gw = gwb if gw is None else np.add(gw, gwb, out=gw)
+                gs = gwb if b else gw  # this sample's gw
+                for c0 in range(0, c, cb):
+                    m = min(cb, c - c0)
+                    xb[:m, pt:pt + t, ph:ph + h, pw:pw + w] = x.data[b, c0:c0 + m]
+                    np.copyto(cols[:m * kk].reshape(m, kt, kh, kw, to, ho, wo), win[:m])
+                    np.matmul(g2[b], cols[:m * kk].T, out=gs[:, c0 * kk:(c0 + m) * kk])
+                if b:
+                    np.add(gw, gwb, out=gw)
             gw = gw.reshape(weight.shape)
-            del inner, win, cols  # cols and the gx buffers both alive make malloc map fresh pages
+            del xb, win, cols  # cols and the gx buffers both alive make malloc map fresh pages
         if x.requires_grad:
             # col2im without dcols. The padded gradient is held as st*sh*sw stride
             # classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits in a zeroed

@@ -259,6 +259,8 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     adversarial) with one discriminator hinge update per step. With
     ``lambda_adv == 0`` the discriminator is never built, touched, or logged.
     A given ``state`` must have been made with ``config`` and ``seed``.
+    Nothing is written to ``log_stream`` before they and ``opt_buffers`` are
+    accepted.
     """
     tcfg = tcfg or TrainerConfig()
     if state is not None and (state.config != config or state.seed != seed):

@@ -261,6 +261,37 @@ class TestTrain:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    def test_rejected_resume_keeps_log(self, workspace, tmp_path, capsys):
+        # A 6-step run checkpointing every 3 steps, resumed into the same
+        # directory from step 3 with sigma 5 (exit 3), then with a bad optimizer
+        # buffer (exit 5): neither may cut the log back to step 3.
+        cfg = tmp_path / "config.json"
+        trainer = dict(TINY_CONFIG["trainer"], checkpoint_every=3)
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=trainer)))
+        run = tmp_path / "run"
+
+        def train(config, *resume):
+            return cli.main(["train", "--config", str(config),
+                             "--data", str(workspace["keypoints"]), "--steps", "6",
+                             "--seed", "3", *resume, "--out", str(run)])
+
+        assert train(cfg) == 0
+        log = (run / "loss_log.jsonl").read_bytes()
+        final = (run / "ckpt_final.mck").read_bytes()
+        assert log.count(b"\n") == 6
+        other = tmp_path / "sigma5.json"
+        other.write_text(json.dumps(dict(TINY_CONFIG, trainer=trainer, model=dict(
+            TINY_CONFIG["model"], sigma=5.0))))
+        assert train(other, "--resume", str(run / "ckpt_0000003.mck")) == 3
+        assert (run / "loss_log.jsonl").read_bytes() == log
+        edit, _ = self.BAD_OPT_BUFFERS["moment-extents"]
+        bad = tmp_path / "bad.mck"
+        rewrite_checkpoint_header(run / "ckpt_0000003.mck", bad, edit)
+        assert train(cfg, "--resume", str(bad)) == 5
+        assert (run / "loss_log.jsonl").read_bytes() == log
+        assert (run / "ckpt_final.mck").read_bytes() == final
+        assert "Traceback" not in capsys.readouterr().err
+
     @settings(FUZZ, max_examples=25)
     @given(data=st.data())
     def test_corrupt_checkpoint_resume_never_crashes(self, workspace, tmp_path, data):

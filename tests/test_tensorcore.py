@@ -48,8 +48,12 @@ def conv3d_reference(x, w, b, stride, padding):
 def conv3d_batched_reference(x, w, b, stride, padding, g):
     """Whole-batch im2col convolution and its gradients for upstream ``g``.
 
-    Builds ``cols`` for every sample at once and runs batched GEMMs; the
-    per-sample ``conv3d`` must reproduce its arithmetic bit for bit.
+    Builds ``cols`` for every sample at once and runs batched GEMMs.
+    ``conv3d`` runs the same sums as GEMMs over slabs of columns and blocks
+    of weight-gradient columns, which BLAS may round unlike the whole GEMM:
+    the bitwise tests pin equal bytes on the shapes they list, and
+    ``tools/identity_check.py`` on its runs; the splits test bounds random
+    shapes within a dtype tolerance.
     Returns (out, gx, gw, gb); gb is None without a bias.
     """
     n, c, t, h, wd = x.shape
@@ -198,6 +202,84 @@ class TestConv3d:
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
 
+    # (conv, [N,C,T,H,W]) whose weight gradient spans several input-channel
+    # blocks: the smoke model's full-resolution k3s1 convs (8 and 16 channels,
+    # blocks of 2), and 19 channels at k3s2 and at half-resolution k3s1, whose
+    # blocks of 10 and 9 leave the last one partial.
+    BLOCK_SHAPES = [("k3s1", (2, 8, 16, 32, 32)), ("k3s1", (2, 16, 16, 32, 32)),
+                    ("k3s2", (2, 19, 16, 32, 32)), ("k3s1", (2, 19, 8, 16, 16))]
+
+    @staticmethod
+    def weight_grad_blocks(c, k, p, itemsize=4):
+        """The input-channel blocks conv3d's weight gradient runs for [C, ...]
+        inputs whose outputs have ``p`` voxels."""
+        per = k ** 3 * p * itemsize
+        nb = -(-c // max(1, tc._SLAB_BYTES // per))
+        cb = -(-c // nb)
+        return [min(cb, c - c0) for c0 in range(0, c, cb)]
+
+    @pytest.mark.parametrize("conv,shape", BLOCK_SHAPES)
+    def test_weight_grad_blocks_match_batched_reference_bitwise(self, conv, shape):
+        k, s, pad = CONV_CLASSES[conv]
+        c = shape[1]
+        to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
+        blocks = self.weight_grad_blocks(c, k, to * ho * wo)
+        assert len(blocks) > 1, "the weight gradient must span several blocks"
+        rng = np.random.default_rng(14)
+        xv = rng.normal(size=shape).astype(np.float32)
+        wv = rng.normal(size=(c, c, k, k, k)).astype(np.float32)
+        bv = rng.normal(size=c).astype(np.float32)
+        g = rng.normal(size=(shape[0], c, to, ho, wo)).astype(np.float32)
+        x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        with Tape():
+            out = tc.conv3d(x, w, b, stride=s, padding=pad)
+            backward(tc.tsum(tc.mul(out, Tensor(g))))
+        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        for name, a, e in zip(("out", "gx", "gw", "gb"), (out.data, x.grad, w.grad, b.grad), want):
+            assert a.dtype == e.dtype, name
+            assert np.array_equal(a, e), name
+
+    # Tolerances on max|got - want| / max|want|, from each dtype's epsilon
+    # (about 1.2e-7 and 2.2e-16) times a few hundred.
+    SPLIT_RTOL = {np.float32: 3e-5, np.float64: 1e-13}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_splits_match_batched_reference(self, dtype):
+        # Seeded random shapes whose forward slabs or weight-gradient blocks
+        # are several, and the 19-channel k3s2 case. A
+        # slab or block GEMM is a column subset of the whole one, but BLAS may
+        # round a narrow one differently, so only the bitwise tests above pin
+        # exact bytes; these shapes must agree within the dtype's tolerance.
+        rng = np.random.default_rng(15)
+        cases = [("k3s2", (2, 19, 16, 32, 32))]
+        while len(cases) < 7:
+            conv = ("k3s1", "k3s2", "k1")[rng.integers(3)]
+            k, s, pad = CONV_CLASSES[conv]
+            shape = (int(rng.integers(1, 3)), int(rng.integers(2, 21)),
+                     *(int(v) for v in rng.integers([6, 12, 12], [24, 72, 72]) * s))
+            to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
+            ck, size = shape[1] * k ** 3, np.dtype(dtype).itemsize
+            fwd_rows = tc._SLAB_BYTES // (ck * ho * wo * size)
+            blocks = self.weight_grad_blocks(shape[1], k, to * ho * wo, size)
+            if (fwd_rows < to or len(blocks) > 1) and ck * to * ho * wo < 2 ** 22:
+                cases.append((conv, shape))
+        for conv, shape in cases:
+            k, s, pad = CONV_CLASSES[conv]
+            co = int(rng.integers(1, 21))
+            xv = rng.normal(size=shape).astype(dtype)
+            wv = rng.normal(size=(co, shape[1], k, k, k)).astype(dtype)
+            bv = rng.normal(size=co).astype(dtype)
+            x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+            with Tape():
+                out = tc.conv3d(x, w, b, stride=s, padding=pad)
+                g = rng.normal(size=out.shape).astype(dtype)
+                backward(tc.tsum(tc.mul(out, Tensor(g))))
+            want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+            for name, a, e in zip(("out", "gx", "gw", "gb"), (out.data, x.grad, w.grad, b.grad), want):
+                assert a.dtype == e.dtype and a.shape == e.shape, (conv, shape, name)
+                err = np.max(np.abs(a - e)) / np.max(np.abs(e))
+                assert err <= self.SPLIT_RTOL[dtype], (conv, shape, name, err)
+
     def test_forward_keeps_less_than_one_window_of_cols(self):
         # What a trainable k3s1 conv keeps alive after forward on a tape,
         # beyond its output, must stay under one window's im2col columns.
@@ -218,11 +300,56 @@ class TestConv3d:
         assert len(tape.nodes) == 1
         assert held - out.data.nbytes < window_cols
 
+    def test_forward_pads_less_than_one_sample(self):
+        # Beyond its output and one slab of cols, forward holds less than half a
+        # zero-bordered copy of a sample: only the 6 padded input planes of 18
+        # that one slab of 4 output planes reads.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, k, k, k)).astype(np.float32), requires_grad=True)
+        ck, plane = 8 * k ** 3, 32 * 32
+        rows = tc._SLAB_BYTES // (ck * plane * 4)
+        assert rows == 4, "forward must span several slabs"
+        padded_sample = 8 * 18 * 34 * 34 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                out = tc.conv3d(x, w, stride=s, padding=pad)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes - ck * rows * plane * 4 < padded_sample // 2
+
+    def test_weight_grad_holds_less_than_one_window_of_cols(self):
+        # Backward's peak for a trainable k3s1 conv, weight gradient included,
+        # stays under one window's im2col columns, which span several slabs.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, k, k, k)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        window_cols = 8 * k ** 3 * 16 * 32 * 32 * 4
+        assert window_cols > 3 * tc._SLAB_BYTES
+        with Tape() as tape:
+            out = tc.conv3d(x, w, b, stride=s, padding=pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gx, gw, gb = tape.nodes[-1].backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (8,)
+        assert peak < window_cols
+
     def test_input_grad_holds_less_than_one_window_of_dcols(self):
         # Backward's peak for the input gradient of a k3s1 conv must stay under
         # one window's input-gradient columns (dcols), which are larger than a
-        # slab here. The weight is frozen, as in the perceptual net, since a
-        # trainable weight's gradient rebuilds a window's cols of that size.
+        # slab here. The weight is frozen, as in the perceptual net, so the peak
+        # is the input gradient's alone.
         k, s, pad = CONV_CLASSES["k3s1"]
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(2, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
