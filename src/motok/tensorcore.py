@@ -66,6 +66,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.spent = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -83,23 +84,34 @@ class Tape:
         A leaf is a tensor no node on this tape produced. ``.grad`` lands on
         leaves only: each node's output gradient is dropped once the node
         has consumed it, so intermediates, the loss among them, get none.
+
+        Each node keeps its inputs, its output and whatever its backward
+        function holds until backward reaches it; as soon as the node has run,
+        or been skipped because no gradient reached its output, all three are
+        dropped, so an activation is freed once nothing left to run needs it.
+        ``nodes`` keeps its length. A second backward on the spent tape raises
+        ArgumentError.
         """
         if loss.size != 1:
             raise ArgumentError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if self.spent:
+            raise ArgumentError("backward already ran on this tape, and its nodes are freed")
+        self.spent = True
         grads: dict[int, tuple] = {id(loss): (loss, np.ones_like(loss.data))}
         for node in reversed(self.nodes):
             entry = grads.pop(id(node.output), None)
-            if entry is None:
-                continue
-            in_grads = node.backward_fn(entry[1])
-            for tensor, g in zip(node.inputs, in_grads):
-                if g is None or not tensor.requires_grad:
-                    continue
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = (tensor, grads[key][1] + g)
-                else:
-                    grads[key] = (tensor, g.astype(tensor.dtype, copy=False))
+            if entry is not None:
+                in_grads = node.backward_fn(entry[1])
+                for tensor, g in zip(node.inputs, in_grads):
+                    if g is None or not tensor.requires_grad:
+                        continue
+                    key = id(tensor)
+                    if key in grads:
+                        grads[key] = (tensor, grads[key][1] + g)
+                    else:
+                        grads[key] = (tensor, g.astype(tensor.dtype, copy=False))
+                entry = in_grads = tensor = g = None  # not kept alive into the next node
+            node.inputs = node.output = node.backward_fn = None
         for tensor, g in grads.values():
             if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
@@ -184,7 +196,7 @@ def mul(a, b) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    out = np.where(mask, x.data, 0).astype(x.dtype)
+    out = np.where(mask, x.data, 0)
 
     def bwd(g):
         return (g * mask,)
@@ -194,30 +206,52 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = x.data > 0
-    out = np.where(mask, x.data, slope * x.data).astype(x.dtype)
+    out = np.where(mask, x.data, slope * x.data).astype(x.dtype, copy=False)
 
     def bwd(g):
-        return (g * np.where(mask, 1.0, slope).astype(x.dtype),)
+        return (np.where(mask, g, g * x.dtype.type(slope)),)
 
     return _record((x,), out, bwd)
 
 
+def _into(buf: np.ndarray, ufunc, *args) -> np.ndarray:
+    """``ufunc(*args)``, written into ``buf``, an array of the result's shape
+    that is no longer needed, when it has the result's dtype too; into a new
+    array otherwise. Either way the bytes are those of a fresh result."""
+    return ufunc(*args, out=buf if buf.dtype == np.result_type(*args) else None)
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), computed in one new array."""
+    s = np.negative(a)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    return np.divide(1.0, s, out=s)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    """1 / (1 + exp(-x)). The node keeps its input and output."""
+    out = _sigmoid(x.data)
 
     def bwd(g):
-        return (g * out * (1.0 - out),)
+        gx = g * out
+        return (np.multiply(gx, np.subtract(1.0, out), out=gx),)
 
     return _record((x,), out, bwd)
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * s
+    """x * sigmoid(x). The node keeps only its input: backward recomputes the
+    sigmoid, with the same bytes."""
+    out = _sigmoid(x.data)
+    np.multiply(x.data, out, out=out)
 
     def bwd(g):
-        return (g * (s + x.data * s * (1.0 - s)),)
+        s = _sigmoid(x.data)
+        d = np.multiply(x.data, s)  # s + x * s * (1 - s)
+        np.multiply(d, np.subtract(1.0, s), out=d)
+        np.add(s, d, out=d)
+        return (_into(d, np.multiply, g, d),)
 
     return _record((x,), out, bwd)
 
@@ -498,7 +532,13 @@ def upsample_nearest3d(x: Tensor, factor) -> Tensor:
 
 def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
                eps: float = 1e-6) -> Tensor:
-    """Per-group standardization over [N,C,...] followed by per-channel affine."""
+    """Per-group standardization over [N,C,...] followed by per-channel affine.
+
+    The node keeps ``x`` and each group's mean and inverse deviation, not the
+    standardized ``xhat``: backward recomputes it, with the same bytes. Beyond
+    its input, forward holds one array of the output's size, and backward
+    three next to its incoming gradient.
+    """
     if x.data.ndim < 2:
         raise ShapeError("group_norm input must have at least [N,C] axes")
     n, c = x.shape[0], x.shape[1]
@@ -512,19 +552,31 @@ def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
     mu = xg.mean(axis=2, keepdims=True)
     var = xg.var(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(x.shape)
     gshape = (1, c) + (1,) * len(spatial)
-    out = xhat * gain.data.reshape(gshape) + bias.data.reshape(gshape)
+    gain_c, bias_c = gain.data.reshape(gshape), bias.data.reshape(gshape)
+
+    def standardized():  # (xg - mu) * inv, as [N, groups, C/groups * m]
+        xh = np.subtract(xg, mu)
+        return _into(xh, np.multiply, xh, inv)
+
+    out = standardized().reshape(x.shape)
+    out = _into(out, np.multiply, out, gain_c)
+    out = _into(out, np.add, out, bias_c)
 
     def bwd(g):
         axes = (0,) + tuple(range(2, x.data.ndim))
-        ggain = (g * xhat).sum(axis=axes)
+        xh = standardized()
+        t = g * xh.reshape(x.shape)
+        ggain = t.sum(axis=axes)
         gbias = g.sum(axis=axes)
-        dxhat = (g * gain.data.reshape(gshape)).reshape(n, groups, (c // groups) * m)
-        xh = xhat.reshape(n, groups, (c // groups) * m)
+        dxhat = _into(t, np.multiply, g, gain_c).reshape(xh.shape)
         mean_d = dxhat.mean(axis=2, keepdims=True)
-        mean_dx = (dxhat * xh).mean(axis=2, keepdims=True)
-        gx = (inv * (dxhat - mean_d - xh * mean_dx)).reshape(x.shape)
+        u = dxhat * xh
+        mean_dx = u.mean(axis=2, keepdims=True)
+        u = _into(u, np.subtract, dxhat, mean_d)  # dxhat - mean_d - xh * mean_dx
+        xh = _into(xh, np.multiply, xh, mean_dx)
+        u = _into(u, np.subtract, u, xh)
+        gx = _into(u, np.multiply, inv, u).reshape(x.shape)
         return gx.astype(x.dtype, copy=False), ggain, gbias
 
     return _record((x, gain, bias), out, bwd)

@@ -94,6 +94,62 @@ CONV_CLASSES = {"k3s1": (3, 1, 1), "k3s2": (3, 2, 1), "k1": (1, 1, 0)}
 ANISO = {"k3aniso": ((1, 2, 1), (1, 0, 1), (5, 7, 5))}
 
 
+def traced(fn):
+    """fn()'s result, with the bytes still allocated after it and its peak,
+    both counted from just before the call (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return res, held - before, peak - before
+
+
+def reference_group_norm(x, g, groups, gain, bias, eps=1e-6):
+    """group_norm's output and gradients (x, gain, bias) as plain numpy
+    expressions, every temporary a fresh array."""
+    n, c = x.shape[:2]
+    xg = x.reshape(n, groups, -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    var = xg.var(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = ((xg - mu) * inv).reshape(x.shape)
+    gshape = (1, c) + (1,) * (x.ndim - 2)
+    out = xhat * gain.reshape(gshape) + bias.reshape(gshape)
+    axes = (0,) + tuple(range(2, x.ndim))
+    ggain = (g * xhat).sum(axis=axes)
+    gbias = g.sum(axis=axes)
+    dxhat = (g * gain.reshape(gshape)).reshape(n, groups, -1)
+    xh = xhat.reshape(n, groups, -1)
+    mean_d = dxhat.mean(axis=2, keepdims=True)
+    mean_dx = (dxhat * xh).mean(axis=2, keepdims=True)
+    gx = (inv * (dxhat - mean_d - xh * mean_dx)).reshape(x.shape)
+    return out, (gx.astype(x.dtype, copy=False), ggain, gbias)
+
+
+def reference_swish(x, g):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s, (g * (s + x * s * (1.0 - s)),)
+
+
+def reference_sigmoid(x, g):
+    out = 1.0 / (1.0 + np.exp(-x))
+    return out, (g * out * (1.0 - out),)
+
+
+def reference_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0).astype(x.dtype), (g * mask,)
+
+
+def reference_leaky_relu(x, g, slope=0.2):
+    mask = x > 0
+    out = np.where(mask, x, slope * x).astype(x.dtype)
+    return out, (g * np.where(mask, 1.0, slope).astype(x.dtype),)
+
+
 class TestConv3d:
     def test_all_ones_kernel(self):
         x = Tensor(np.ones((1, 1, 4, 4, 4)))
@@ -515,6 +571,74 @@ class TestGroupNorm:
         assert check_grads(build, [x, gain, bias]) < 1e-4
 
 
+class TestActivationMemory:
+    # Odd extents, so every SIMD loop has a tail; two groups of two channels.
+    SHAPE = (3, 4, 5, 7, 9)
+    # 512 KiB at f32: numpy's broadcasting ufuncs take a fixed buffer of about
+    # 32 KiB, which must stay small against the output.
+    SMALL = (2, 4, 16, 32, 32)
+    GAIN, BIAS = np.linspace(-1.5, 2.0, 4), np.linspace(0.5, -0.25, 4)
+    OPS = {
+        "group_norm": (lambda x, p: tc.group_norm(x, 2, *p),
+                       lambda x, g, p: reference_group_norm(x, g, 2, *(t.data for t in p))),
+        "swish": (lambda x, p: tc.swish(x), lambda x, g, p: reference_swish(x, g)),
+        "sigmoid": (lambda x, p: tc.sigmoid(x), lambda x, g, p: reference_sigmoid(x, g)),
+        "relu": (lambda x, p: tc.relu(x), lambda x, g, p: reference_relu(x, g)),
+        "leaky_relu": (lambda x, p: tc.leaky_relu(x), lambda x, g, p: reference_leaky_relu(x, g)),
+    }
+
+    def params(self, dtype):
+        return (Tensor(self.GAIN.astype(dtype), requires_grad=True),
+                Tensor(self.BIAS.astype(dtype), requires_grad=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_matches_reference_expressions_bitwise(self, op, dtype):
+        # Forward and every gradient equal the plain expressions byte for byte,
+        # dtype included, with +-0 and +-inf in the input. Infinities sit in
+        # the first group of the first sample, which group_norm turns to NaN.
+        rng = np.random.default_rng(43)
+        x = (rng.normal(size=self.SHAPE) * 4).astype(dtype)
+        x.flat[:6] = [np.inf, -np.inf, 0.0, -0.0, 40.0, -100.0]
+        x[1, :, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        g = rng.normal(size=self.SHAPE).astype(dtype)
+        g.flat[-2:] = [0.0, -0.0]
+        fn, ref = self.OPS[op]
+        p = self.params(dtype)
+        with np.errstate(all="ignore"):
+            with Tape() as tape:
+                out = fn(Tensor(x, requires_grad=True), p)
+            grads = tape.nodes[-1].backward_fn(g)
+            want_out, want_grads = ref(x, g, p)
+        for got, want in zip((out.data,) + tuple(grads), (want_out,) + want_grads):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", ["group_norm", "swish"])
+    def test_tape_keeps_no_more_than_the_output(self, op):
+        # Beyond its input, the node keeps about its output: group_norm no
+        # xhat, swish no sigmoid.
+        x = Tensor(np.random.default_rng(44).normal(size=self.SMALL).astype(np.float32),
+                   requires_grad=True)
+        p = self.params(np.float32)
+
+        def run():
+            with Tape() as tape:
+                out = self.OPS[op][0](x, p)
+            return tape, out
+
+        (tape, out), held, _ = traced(run)
+        assert len(tape.nodes) == 1
+        assert held <= 1.25 * out.data.nbytes
+
+    @pytest.mark.parametrize("op", ["group_norm", "swish", "sigmoid"])
+    def test_forward_peak_without_tape_is_one_output(self, op):
+        x = Tensor(np.random.default_rng(45).normal(size=self.SMALL).astype(np.float32))
+        p = self.params(np.float32)
+        out, _, peak = traced(lambda: self.OPS[op][0](x, p))
+        assert peak <= 1.25 * out.data.nbytes
+
+
 class TestStopGradient:
     def test_forward_identity(self):
         assert tc.stop_gradient(Tensor([3.0])).numpy()[0] == 3.0
@@ -584,6 +708,40 @@ class TestBackward:
             grads.append((x.grad.copy(), w.grad.copy()))
         assert np.array_equal(grads[0][0], grads[1][0])
         assert np.array_equal(grads[0][1], grads[1][1])
+
+
+class TestTape:
+    def test_backward_frees_activations(self):
+        # After backward over a chain of six ops, still inside the tape, only
+        # the last activation (which the test holds) outlives the leaves and
+        # their gradients; the tape keeps its node count.
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(2, 4, 8, 16, 16)).astype(np.float32), requires_grad=True)
+        gain = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                h = tc.group_norm(x, 2, gain, bias)
+                for op in (tc.swish, tc.leaky_relu, tc.sigmoid, tc.swish):
+                    h = op(h)
+                backward(tc.tmean(h))
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 6
+        leaf_grads = x.grad.nbytes + gain.grad.nbytes + bias.grad.nbytes
+        assert held - leaf_grads <= 1.25 * x.data.nbytes
+
+    def test_spent_tape_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = tc.tsum(tc.mul(x, x))
+            backward(loss)
+            with pytest.raises(ArgumentError, match="already ran"):
+                tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 class TestTakeRows:
