@@ -203,8 +203,8 @@ def _conv(state, name, x, stride=1, padding=0):
 
 def _norm_act(state, name, x):
     c = x.shape[1]
-    return tc.swish(tc.group_norm(x, _groups_for(c), state.params[f"{name}.g"],
-                                  state.params[f"{name}.o"]))
+    return tc.group_norm_swish(x, _groups_for(c), state.params[f"{name}.g"],
+                               state.params[f"{name}.o"])
 
 
 def _resblock(state, name, x):

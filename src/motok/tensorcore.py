@@ -22,7 +22,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 class Tensor:
     """Dense row-major tensor, optionally tracking gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")  # node: its producer, None for a leaf
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -31,6 +31,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -52,12 +53,21 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
+    """One recorded op. It keeps what backward reads and nothing else: its
+    inputs, each the node on the same tape that produced it or else the leaf
+    Tensor itself; its tape's ``key``; its output's dtype; and its backward
+    function, with whatever state that function saved. It keeps no output, so
+    an activation lives only while Python code or a backward that reads its
+    data holds it."""
 
-    def __init__(self, inputs: Sequence[Tensor], output: Tensor,
+    __slots__ = ("inputs", "tape_key", "dtype", "backward_fn")
+    requires_grad = True  # like any tracked Tensor, for code that reads inputs
+
+    def __init__(self, inputs: Sequence, tape_key: object, dtype,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.inputs = tuple(inputs)
-        self.output = output
+        self.tape_key = tape_key
+        self.dtype = dtype
         self.backward_fn = backward_fn
 
 
@@ -67,6 +77,9 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.spent = False
+        # Nodes carry this, not the tape: a reference back would be a cycle,
+        # and only the garbage collector would free an abandoned tape.
+        self.key = object()
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -77,41 +90,48 @@ class Tape:
         assert popped is self
         return False
 
+    def _source(self, t: Tensor):
+        """The node of this tape that produced ``t``, or ``t`` itself when it
+        is a leaf here: untracked, or made on another tape."""
+        node = t.node
+        return node if node is not None and node.tape_key is self.key else t
+
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf reachable
         from ``loss`` that requires a gradient.
 
         A leaf is a tensor no node on this tape produced. ``.grad`` lands on
-        leaves only: each node's output gradient is dropped once the node
-        has consumed it, so intermediates, the loss among them, get none.
+        leaves only: gradients are routed by producer node, and each node's
+        output gradient is dropped once the node has consumed it, so
+        intermediates, the loss among them, get none.
 
-        Each node keeps its inputs, its output and whatever its backward
-        function holds until backward reaches it; as soon as the node has run,
-        or been skipped because no gradient reached its output, all three are
-        dropped, so an activation is freed once nothing left to run needs it.
-        ``nodes`` keeps its length. A second backward on the spent tape raises
-        ArgumentError.
+        A node keeps its producer links and its backward's saved state, no
+        output. As soon as it has run, or been skipped because no gradient
+        reached it, both are dropped, so saved activations are freed as
+        backward walks back. ``nodes`` keeps its length. A second backward on
+        the spent tape raises ArgumentError.
         """
         if loss.size != 1:
             raise ArgumentError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self.spent:
             raise ArgumentError("backward already ran on this tape, and its nodes are freed")
         self.spent = True
-        grads: dict[int, tuple] = {id(loss): (loss, np.ones_like(loss.data))}
+        start = self._source(loss)
+        grads: dict[int, tuple] = {id(start): (start, np.ones_like(loss.data))}
         for node in reversed(self.nodes):
-            entry = grads.pop(id(node.output), None)
+            entry = grads.pop(id(node), None)
             if entry is not None:
                 in_grads = node.backward_fn(entry[1])
-                for tensor, g in zip(node.inputs, in_grads):
-                    if g is None or not tensor.requires_grad:
+                for src, g in zip(node.inputs, in_grads):
+                    if g is None or not src.requires_grad:
                         continue
-                    key = id(tensor)
+                    key = id(src)
                     if key in grads:
-                        grads[key] = (tensor, grads[key][1] + g)
+                        grads[key] = (src, grads[key][1] + g)
                     else:
-                        grads[key] = (tensor, g.astype(tensor.dtype, copy=False))
-                entry = in_grads = tensor = g = None  # not kept alive into the next node
-            node.inputs = node.output = node.backward_fn = None
+                        grads[key] = (src, g.astype(src.dtype, copy=False))
+                entry = in_grads = src = g = None  # not kept alive into the next node
+            node.inputs = node.backward_fn = None
         for tensor, g in grads.values():
             if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
@@ -133,14 +153,21 @@ def backward(loss: Tensor) -> None:
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
+    """``out_data`` as a Tensor, tracked on the active tape when an input
+    requires a gradient. Its node keeps producer links and ``backward_fn``'s
+    saved state, not the output; ``backward_fn`` captures the arrays it
+    reads, and only shapes and dtypes of the Tensors whose data it does not."""
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = track
     out.grad = None
+    out.node = None
     if track:
-        tape.nodes.append(_Node(inputs, out, backward_fn))
+        out.node = _Node([tape._source(t) for t in inputs], tape.key, out_data.dtype,
+                         backward_fn)
+        tape.nodes.append(out.node)
     return out
 
 
@@ -167,9 +194,10 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return _record((a, b), out, bwd)
 
@@ -177,9 +205,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return _record((a, b), out, bwd)
 
@@ -207,9 +236,10 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = x.data > 0
     out = np.where(mask, x.data, slope * x.data).astype(x.dtype, copy=False)
+    dtype = x.dtype
 
     def bwd(g):
-        return (np.where(mask, g, g * x.dtype.type(slope)),)
+        return (np.where(mask, g, g * dtype.type(slope)),)
 
     return _record((x,), out, bwd)
 
@@ -240,20 +270,29 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record((x,), out, bwd)
 
 
+def _swish(a: np.ndarray) -> np.ndarray:
+    """a * sigmoid(a), computed in one new array."""
+    out = _sigmoid(a)
+    return np.multiply(a, out, out=out)
+
+
+def _swish_grad(g: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """g * (s + a * s * (1 - s)), with s = sigmoid(a) recomputed. ``out`` may
+    be ``a`` itself, when the caller no longer needs it."""
+    s = _sigmoid(a)
+    d = np.multiply(a, s, out=out)
+    np.multiply(d, np.subtract(1.0, s), out=d)
+    np.add(s, d, out=d)
+    return _into(d, np.multiply, g, d)
+
+
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x). The node keeps only its input: backward recomputes the
     sigmoid, with the same bytes."""
-    out = _sigmoid(x.data)
-    np.multiply(x.data, out, out=out)
-
     def bwd(g):
-        s = _sigmoid(x.data)
-        d = np.multiply(x.data, s)  # s + x * s * (1 - s)
-        np.multiply(d, np.subtract(1.0, s), out=d)
-        np.add(s, d, out=d)
-        return (_into(d, np.multiply, g, d),)
+        return (_swish_grad(g, x.data),)
 
-    return _record((x,), out, bwd)
+    return _record((x,), _swish(x.data), bwd)
 
 
 def tabs(x: Tensor) -> Tensor:
@@ -268,28 +307,31 @@ def tabs(x: Tensor) -> Tensor:
 def sqrt(x: Tensor) -> Tensor:
     """Square root with zero subgradient at zero (safe for norm-of-equal-inputs)."""
     out = np.sqrt(x.data)
+    dtype = x.dtype
 
     def bwd(g):
         denom = np.where(out > 0, 2.0 * out, 1.0)
-        return (np.where(out > 0, g / denom, 0.0).astype(x.dtype),)
+        return (np.where(out > 0, g / denom, 0.0).astype(dtype),)
 
     return _record((x,), out, bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
     out = np.asarray(np.sum(x.data), dtype=x.dtype)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _record((x,), out, bwd)
 
 
 def tmean(x: Tensor) -> Tensor:
     out = np.asarray(np.mean(x.data), dtype=x.dtype)
+    shape, dtype, size = x.shape, x.dtype, x.size
 
     def bwd(g):
-        return (np.full_like(x.data, g / x.size),)
+        return (np.full(shape, g / size, dtype=dtype),)
 
     return _record((x,), out, bwd)
 
@@ -309,9 +351,10 @@ def row_mean(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
+    in_shape = x.shape
 
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _record((x,), out, bwd)
 
@@ -521,24 +564,19 @@ def upsample_nearest3d(x: Tensor, factor) -> Tensor:
     if x.data.ndim != 5:
         raise ShapeError(f"upsample_nearest3d input must be rank 5, got rank {x.data.ndim}")
     out = x.data.repeat(ft, axis=2).repeat(fh, axis=3).repeat(fw, axis=4)
+    n, c, t, h, w = x.shape
 
     def bwd(g):
-        n, c, t, h, w = x.shape
         gr = g.reshape(n, c, t, ft, h, fh, w, fw)
         return (gr.sum(axis=(3, 5, 7)),)
 
     return _record((x,), out, bwd)
 
 
-def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
-               eps: float = 1e-6) -> Tensor:
-    """Per-group standardization over [N,C,...] followed by per-channel affine.
-
-    The node keeps ``x`` and each group's mean and inverse deviation, not the
-    standardized ``xhat``: backward recomputes it, with the same bytes. Beyond
-    its input, forward holds one array of the output's size, and backward
-    three next to its incoming gradient.
-    """
+def _group_stats(x: Tensor, groups: int, gain: Tensor, bias: Tensor, eps: float):
+    """Check group_norm's arguments. Returns ``x`` as [N, groups, C/groups * m],
+    each group's mean and inverse deviation, and gain and bias shaped to
+    broadcast over ``x``."""
     if x.data.ndim < 2:
         raise ShapeError("group_norm input must have at least [N,C] axes")
     n, c = x.shape[0], x.shape[1]
@@ -553,32 +591,80 @@ def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
     var = xg.var(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     gshape = (1, c) + (1,) * len(spatial)
-    gain_c, bias_c = gain.data.reshape(gshape), bias.data.reshape(gshape)
+    return xg, mu, inv, gain.data.reshape(gshape), bias.data.reshape(gshape)
 
-    def standardized():  # (xg - mu) * inv, as [N, groups, C/groups * m]
-        xh = np.subtract(xg, mu)
-        return _into(xh, np.multiply, xh, inv)
 
-    out = standardized().reshape(x.shape)
+def _standardized(xg, mu, inv) -> np.ndarray:
+    """(xg - mu) * inv, as [N, groups, C/groups * m], in one new array."""
+    xh = np.subtract(xg, mu)
+    return _into(xh, np.multiply, xh, inv)
+
+
+def _affine(xh, shape, gain_c, bias_c) -> np.ndarray:
+    """xh * gain + bias as ``shape``, in ``xh``'s array where dtypes allow."""
+    out = xh.reshape(shape)
     out = _into(out, np.multiply, out, gain_c)
-    out = _into(out, np.add, out, bias_c)
+    return _into(out, np.add, out, bias_c)
+
+
+def _group_norm_grads(g, xh, inv, gain_c, dtype) -> tuple:
+    """The gradients of group_norm's x, gain and bias, from its output's
+    gradient ``g`` and the recomputed ``xh``, whose array it reuses. Beyond
+    ``g`` and ``xh``, it holds two arrays of their size."""
+    axes = (0,) + tuple(range(2, g.ndim))
+    t = g * xh.reshape(g.shape)
+    ggain = t.sum(axis=axes)
+    gbias = g.sum(axis=axes)
+    dxhat = _into(t, np.multiply, g, gain_c).reshape(xh.shape)
+    mean_d = dxhat.mean(axis=2, keepdims=True)
+    u = dxhat * xh
+    mean_dx = u.mean(axis=2, keepdims=True)
+    u = _into(u, np.subtract, dxhat, mean_d)  # dxhat - mean_d - xh * mean_dx
+    xh = _into(xh, np.multiply, xh, mean_dx)
+    u = _into(u, np.subtract, u, xh)
+    gx = _into(u, np.multiply, inv, u).reshape(g.shape)
+    return gx.astype(dtype, copy=False), ggain, gbias
+
+
+def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
+               eps: float = 1e-6) -> Tensor:
+    """Per-group standardization over [N,C,...] followed by per-channel affine.
+
+    The node keeps ``x`` and each group's mean and inverse deviation, not the
+    standardized ``xhat``: backward recomputes it, with the same bytes. Beyond
+    its input, forward holds one array of the output's size, and backward
+    three next to its incoming gradient.
+    """
+    xg, mu, inv, gain_c, bias_c = _group_stats(x, groups, gain, bias, eps)
+    dtype = x.dtype
 
     def bwd(g):
-        axes = (0,) + tuple(range(2, x.data.ndim))
-        xh = standardized()
-        t = g * xh.reshape(x.shape)
-        ggain = t.sum(axis=axes)
-        gbias = g.sum(axis=axes)
-        dxhat = _into(t, np.multiply, g, gain_c).reshape(xh.shape)
-        mean_d = dxhat.mean(axis=2, keepdims=True)
-        u = dxhat * xh
-        mean_dx = u.mean(axis=2, keepdims=True)
-        u = _into(u, np.subtract, dxhat, mean_d)  # dxhat - mean_d - xh * mean_dx
-        xh = _into(xh, np.multiply, xh, mean_dx)
-        u = _into(u, np.subtract, u, xh)
-        gx = _into(u, np.multiply, inv, u).reshape(x.shape)
-        return gx.astype(x.dtype, copy=False), ggain, gbias
+        return _group_norm_grads(g, _standardized(xg, mu, inv), inv, gain_c, dtype)
 
+    out = _affine(_standardized(xg, mu, inv), x.shape, gain_c, bias_c)
+    return _record((x, gain, bias), out, bwd)
+
+
+def group_norm_swish(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
+                     eps: float = 1e-6) -> Tensor:
+    """``swish(group_norm(x, groups, gain, bias, eps))`` as one node, with the
+    same bytes forward and backward.
+
+    The node keeps what group_norm's keeps: ``x`` and each group's mean and
+    inverse deviation. Backward recomputes the affine output and its sigmoid
+    for swish's gradient, then ``xhat`` for group_norm's. Beyond its input,
+    forward holds two arrays of the output's size, and backward four next to
+    its incoming gradient.
+    """
+    xg, mu, inv, gain_c, bias_c = _group_stats(x, groups, gain, bias, eps)
+    shape, dtype = x.shape, x.dtype
+
+    def bwd(g):
+        y = _affine(_standardized(xg, mu, inv), shape, gain_c, bias_c)
+        gy = _swish_grad(g, y, out=y).astype(y.dtype, copy=False)  # as the tape casts it
+        return _group_norm_grads(gy, _standardized(xg, mu, inv), inv, gain_c, dtype)
+
+    out = _swish(_affine(_standardized(xg, mu, inv), shape, gain_c, bias_c))
     return _record((x, gain, bias), out, bwd)
 
 

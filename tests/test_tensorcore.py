@@ -1,4 +1,5 @@
 import errno
+import gc
 import tracemalloc
 
 import numpy as np
@@ -614,6 +615,28 @@ class TestActivationMemory:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_group_norm_swish_matches_composition_bitwise(self, dtype):
+        # The fused node's output and the gradients a whole backward gives x,
+        # gain and bias equal those of swish(group_norm(...)) byte for byte.
+        rng = np.random.default_rng(46)
+        x = (rng.normal(size=self.SHAPE) * 4).astype(dtype)
+        x.flat[:6] = [np.inf, -np.inf, 0.0, -0.0, 40.0, -100.0]
+        x[1, :, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        g = Tensor(rng.normal(size=self.SHAPE).astype(dtype))
+        g.data.flat[-2:] = [0.0, -0.0]
+        results = []
+        for fn in (lambda xt, p: tc.swish(tc.group_norm(xt, 2, *p)),
+                   lambda xt, p: tc.group_norm_swish(xt, 2, *p)):
+            xt, p = Tensor(x, requires_grad=True), self.params(dtype)
+            with np.errstate(all="ignore"), Tape():
+                out = fn(xt, p)
+                backward(tc.tsum(tc.mul(out, g)))  # out's gradient is g
+            results.append((out.data, xt.grad) + tuple(t.grad for t in p))
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("op", ["group_norm", "swish"])
     def test_tape_keeps_no_more_than_the_output(self, op):
         # Beyond its input, the node keeps about its output: group_norm no
@@ -742,6 +765,88 @@ class TestTape:
             with pytest.raises(ArgumentError, match="already ran"):
                 tape.backward(loss)
         assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_tape_keeps_only_what_backward_reads(self):
+        # conv3d keeps its input, here a leaf; leaky_relu its mask; the
+        # residual add and the mean only shapes. So after forward the tape
+        # holds about the mask, a quarter of one activation, and no output.
+        rng = np.random.default_rng(47)
+        x = Tensor(rng.normal(size=(2, 4, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor((rng.normal(size=(4, 4, 3, 3, 3)) * 0.1).astype(np.float32),
+                   requires_grad=True)
+
+        def forward():
+            h = tc.leaky_relu(tc.conv3d(x, w, padding=1))
+            return tc.tmean(tc.add(x, h))
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = forward()
+                held = tracemalloc.get_traced_memory()[0] - before
+                backward(loss)
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 4
+        assert held <= 0.5 * x.data.nbytes
+        assert x.grad is not None and w.grad is not None
+
+    def test_tensor_from_another_tape_is_a_leaf(self):
+        x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+        with Tape():
+            y = tc.mul(x, x)
+            backward(tc.tsum(y))
+        # y was made on a spent tape: on a new one it is a leaf.
+        with Tape():
+            backward(tc.tsum(tc.mul(y, y)))
+        assert np.array_equal(y.grad, [2.0, 8.0])
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        # A loss no node of the tape made gets a gradient of one, tracked on
+        # an outer tape or not tracked at all; nothing reaches past it.
+        z = Tensor([0.0, 3.0], requires_grad=True, dtype=np.float64)
+        leaf = Tensor(5.0, requires_grad=True, dtype=np.float64)
+        with Tape():
+            outer = tc.tsum(tc.mul(z, z))
+            with Tape():
+                tc.mul(z, 2.0)
+                backward(outer)
+            with Tape():
+                tc.mul(z, 2.0)
+                backward(leaf)
+        assert outer.grad == 1.0 and leaf.grad == 1.0
+        assert z.grad is None
+
+    def test_abandoned_tape_frees_activations(self):
+        # A step left by an exception before backward: no reference cycle
+        # keeps its nodes, so refcounting alone frees every activation.
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.normal(size=(2, 8, 8, 16, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor((rng.normal(size=(8, 8, 3, 3, 3)) * 0.1).astype(np.float32),
+                   requires_grad=True)
+        gain = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+
+        def step():
+            with Tape():
+                h = tc.group_norm_swish(x, 2, gain, bias)
+                h = tc.add(x, tc.conv3d(h, w, padding=1))
+                tc.tmean(tc.leaky_relu(h))
+                raise RuntimeError("abandoned")
+
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                step()
+            except RuntimeError:
+                pass
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held <= 0.05 * x.data.nbytes
 
 
 class TestTakeRows:
