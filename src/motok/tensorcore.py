@@ -58,17 +58,25 @@ class _Node:
     Tensor itself; its tape's ``key``; its output's dtype; and its backward
     function, with whatever state that function saved. It keeps no output, so
     an activation lives only while Python code or a backward that reads its
-    data holds it."""
+    data holds it.
 
-    __slots__ = ("inputs", "tape_key", "dtype", "backward_fn")
+    ``remake``, when the op offers one, takes no arguments and rebuilds the
+    output byte for byte from state the node keeps anyway. It returns the
+    output, or a broadcast view whose reshape to the output's shape is the
+    output. A conv3d fed by such a node keeps the ``remake`` instead of its
+    input."""
+
+    __slots__ = ("inputs", "tape_key", "dtype", "backward_fn", "remake")
     requires_grad = True  # like any tracked Tensor, for code that reads inputs
 
     def __init__(self, inputs: Sequence, tape_key: object, dtype,
-                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
+                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
+                 remake: Optional[Callable[[], np.ndarray]] = None):
         self.inputs = tuple(inputs)
         self.tape_key = tape_key
         self.dtype = dtype
         self.backward_fn = backward_fn
+        self.remake = remake
 
 
 class Tape:
@@ -105,11 +113,11 @@ class Tape:
         output gradient is dropped once the node has consumed it, so
         intermediates, the loss among them, get none.
 
-        A node keeps its producer links and its backward's saved state, no
-        output. As soon as it has run, or been skipped because no gradient
-        reached it, both are dropped, so saved activations are freed as
-        backward walks back. ``nodes`` keeps its length. A second backward on
-        the spent tape raises ArgumentError.
+        A node keeps its producer links, its backward's saved state and its
+        ``remake``, no output. As soon as it has run, or been skipped because
+        no gradient reached it, all three are dropped, so saved activations
+        are freed as backward walks back. ``nodes`` keeps its length. A
+        second backward on the spent tape raises ArgumentError.
         """
         if loss.size != 1:
             raise ArgumentError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -131,7 +139,7 @@ class Tape:
                     else:
                         grads[key] = (src, g.astype(src.dtype, copy=False))
                 entry = in_grads = src = g = None  # not kept alive into the next node
-            node.inputs = node.backward_fn = None
+            node.inputs = node.backward_fn = node.remake = None
         for tensor, g in grads.values():
             if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
@@ -152,11 +160,13 @@ def backward(loss: Tensor) -> None:
     tape.backward(loss)
 
 
-def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
+def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn,
+            remake=None) -> Tensor:
     """``out_data`` as a Tensor, tracked on the active tape when an input
-    requires a gradient. Its node keeps producer links and ``backward_fn``'s
-    saved state, not the output; ``backward_fn`` captures the arrays it
-    reads, and only shapes and dtypes of the Tensors whose data it does not."""
+    requires a gradient. Its node keeps producer links, ``backward_fn``'s
+    saved state and ``remake``, not the output; ``backward_fn`` captures the
+    arrays it reads, and only shapes and dtypes of the Tensors whose data it
+    does not."""
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -166,7 +176,7 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     out.node = None
     if track:
         out.node = _Node([tape._source(t) for t in inputs], tape.key, out_data.dtype,
-                         backward_fn)
+                         backward_fn, remake)
         tape.nodes.append(out.node)
     return out
 
@@ -413,14 +423,18 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     contract, beyond the inputs, the output and the gradients, all in buffers
     reused for every slab, block and sample:
 
-    - Forward keeps nothing for backward but its inputs. It holds one slab of
-      ``cols`` (about ``_SLAB_BYTES``, or one output plane's) and the
-      zero-bordered input planes that slab reads.
+    - Forward keeps nothing for backward but its inputs, and not even ``x``
+      when the node that made ``x`` offers a ``remake``: then it keeps that
+      instead. It holds one slab of ``cols`` (about ``_SLAB_BYTES``, or one
+      output plane's) and the zero-bordered input planes that slab reads.
     - Backward computes only the gradients whose inputs require one and
       returns None for the others.
     - The weight gradient rebuilds ``cols`` from ``x`` one block of input
       channels at a time (about ``_SLAB_BYTES``, or one channel's), from a
-      zero-bordered copy of that block's channels.
+      zero-bordered copy of that block's channels. A remade ``x`` lives only
+      in this branch: as one array after ``group_norm_swish``, and not at all
+      after ``upsample_nearest3d``, whose planes are repeated straight into
+      each block.
     - The input gradient keeps no per-sample ``dcols``: it GEMMs one slab of
       output T-planes at a time (about ``_SLAB_BYTES`` of columns, or one
       plane) and adds each tap's share into one sample's padded gradient.
@@ -483,6 +497,9 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
         out += bias.data[None, :, None, None, None]
+    remake = x.node.remake if x.node is not None else None
+    xd = x.data if remake is None else None  # what backward keeps of x
+    xdt, x_grad = x.dtype, x.requires_grad
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, co, p))
@@ -493,25 +510,29 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             # order, as a batched sum(axis=0) does. The blocks are as even as c
             # allows, since a narrow tail block's GEMM can round unlike the whole one.
             kk = kt * kh * kw
-            nb = -(-c // max(1, _SLAB_BYTES // (kk * p * x.data.itemsize)))
+            nb = -(-c // max(1, _SLAB_BYTES // (kk * p * xdt.itemsize)))
             cb = -(-c // nb)
-            xb = np.zeros((cb, tp, hp, wp), dtype=x.dtype)
+            src = xd if remake is None else remake()
+            xb = np.zeros((cb, tp, hp, wp), dtype=xdt)
+            # xb's interior with src's axes: it only splits axes, so it is a view
+            inner = xb[:, pt:pt + t, ph:ph + h, pw:pw + w].reshape((cb,) + src.shape[2:])
             win = windows(xb)
-            cols = np.empty((cb * kk, p), dtype=x.dtype)
-            gw = np.empty((co, ck), dtype=np.result_type(g2, x.data))
+            cols = np.empty((cb * kk, p), dtype=xdt)
+            gw = np.empty((co, ck), dtype=np.result_type(g2, xdt))
             gwb = np.empty_like(gw)
             for b in range(n):
                 gs = gwb if b else gw  # this sample's gw
                 for c0 in range(0, c, cb):
                     m = min(cb, c - c0)
-                    xb[:m, pt:pt + t, ph:ph + h, pw:pw + w] = x.data[b, c0:c0 + m]
+                    np.copyto(inner[:m], src[b, c0:c0 + m])
                     np.copyto(cols[:m * kk].reshape(m, kt, kh, kw, to, ho, wo), win[:m])
                     np.matmul(g2[b], cols[:m * kk].T, out=gs[:, c0 * kk:(c0 + m) * kk])
                 if b:
                     np.add(gw, gwb, out=gw)
             gw = gw.reshape(weight.shape)
-            del xb, win, cols  # cols and the gx buffers both alive make malloc map fresh pages
-        if x.requires_grad:
+            # cols and the gx buffers both alive make malloc map fresh pages
+            del src, xb, inner, win, cols
+        if x_grad:
             # col2im without dcols. The padded gradient is held as st*sh*sw stride
             # classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits in a zeroed
             # [Co, to, hb, wb] grid of the same plane pitch. So each slab's GEMM gives
@@ -521,13 +542,13 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             ta, hb, wb = -(-tp // st), -(-hp // sh), -(-wp // sw)
             hw = hb * wb
             grid = np.zeros((co, to, hb, wb), dtype=g2.dtype)
-            classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=x.dtype)
+            classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=xdt)
             padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
                 .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
             dt = np.result_type(w2, g2)
             rows = min(to, max(1, _SLAB_BYTES // (ck * hw * dt.itemsize)))
             slab = np.empty(ck * rows * hw, dtype=dt)
-            gx = np.empty(x.shape, dtype=x.dtype)
+            gx = np.empty((n, c, t, h, w), dtype=xdt)
             for b in range(n):
                 grid[:, :, :ho, :wo] = g2[b].reshape(co, to, ho, wo)
                 classes.fill(0)
@@ -557,20 +578,28 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def upsample_nearest3d(x: Tensor, factor) -> Tensor:
-    """Replicate each voxel factor_t x factor_h x factor_w times."""
+    """Replicate each voxel factor_t x factor_h x factor_w times.
+
+    The node keeps ``x``, 1/(ft*fh*fw) of the output, for its ``remake``: a
+    [N,C,T,ft,H,fh,W,fw] broadcast view of ``x`` whose reshape is the output.
+    Backward reads only shapes.
+    """
     ft, fh, fw = _triple(factor, "factor")
     if min(ft, fh, fw) < 1:
         raise ArgumentError(f"upsample factor components must be >= 1, got {(ft, fh, fw)}")
     if x.data.ndim != 5:
         raise ShapeError(f"upsample_nearest3d input must be rank 5, got rank {x.data.ndim}")
-    out = x.data.repeat(ft, axis=2).repeat(fh, axis=3).repeat(fw, axis=4)
     n, c, t, h, w = x.shape
+    xd = x.data
+
+    def remake():
+        return np.broadcast_to(xd[:, :, :, None, :, None, :, None], (n, c, t, ft, h, fh, w, fw))
 
     def bwd(g):
         gr = g.reshape(n, c, t, ft, h, fh, w, fw)
         return (gr.sum(axis=(3, 5, 7)),)
 
-    return _record((x,), out, bwd)
+    return _record((x,), remake().reshape(n, c, t * ft, h * fh, w * fw), bwd, remake)
 
 
 def _group_stats(x: Tensor, groups: int, gain: Tensor, bias: Tensor, eps: float):
@@ -652,20 +681,24 @@ def group_norm_swish(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
 
     The node keeps what group_norm's keeps: ``x`` and each group's mean and
     inverse deviation. Backward recomputes the affine output and its sigmoid
-    for swish's gradient, then ``xhat`` for group_norm's. Beyond its input,
-    forward holds two arrays of the output's size, and backward four next to
-    its incoming gradient.
+    for swish's gradient, then ``xhat`` for group_norm's. Its ``remake`` runs
+    forward again from the same state, so a conv3d that reads the output
+    keeps no copy of it. Beyond its input, forward and ``remake`` hold two
+    arrays of the output's size, and backward four next to its incoming
+    gradient.
     """
     xg, mu, inv, gain_c, bias_c = _group_stats(x, groups, gain, bias, eps)
     shape, dtype = x.shape, x.dtype
+
+    def remake():
+        return _swish(_affine(_standardized(xg, mu, inv), shape, gain_c, bias_c))
 
     def bwd(g):
         y = _affine(_standardized(xg, mu, inv), shape, gain_c, bias_c)
         gy = _swish_grad(g, y, out=y).astype(y.dtype, copy=False)  # as the tape casts it
         return _group_norm_grads(gy, _standardized(xg, mu, inv), inv, gain_c, dtype)
 
-    out = _swish(_affine(_standardized(xg, mu, inv), shape, gain_c, bias_c))
-    return _record((x, gain, bias), out, bwd)
+    return _record((x, gain, bias), remake(), bwd, remake)
 
 
 # ---------------------------------------------------------------------------

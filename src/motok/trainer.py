@@ -338,7 +338,7 @@ def train(config: ModelConfig, data, steps: int, seed: int,
         if adv_active:
             with Tape():
                 d_real = mdl.discriminator_forward(state, Tensor(x))
-                d_fake = mdl.discriminator_forward(state, Tensor(xhat.data.copy()))
+                d_fake = mdl.discriminator_forward(state, Tensor(xhat.data))
                 d_loss = ls.hinge_d_loss(d_real, d_fake)
                 d_val = float(d_loss.numpy())
                 if not np.isfinite(d_val):

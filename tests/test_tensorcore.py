@@ -792,6 +792,88 @@ class TestTape:
         assert held <= 0.5 * x.data.nbytes
         assert x.grad is not None and w.grad is not None
 
+    # group_norm_swish -> conv3d -> upsample_nearest3d -> conv3d, the
+    # decoder's pattern. Five channels make the upsampled conv's weight
+    # gradient run blocks of 2, 2 and 1 channels.
+    CHAIN = (2, 5, 8, 16, 16)
+
+    def chain(self, dtype, factor=2, materialise=False):
+        """The chain's leaves and its forward. With ``materialise`` each conv
+        input passes through a reshape node, which offers no ``remake``, so
+        the conv keeps its input array instead."""
+        rng = np.random.default_rng(49)
+        c = self.CHAIN[1]
+        leaves = [Tensor(rng.normal(size=self.CHAIN).astype(dtype), requires_grad=True),
+                  Tensor(np.linspace(0.5, 1.5, c).astype(dtype), requires_grad=True),
+                  Tensor(np.linspace(-0.2, 0.3, c).astype(dtype), requires_grad=True),
+                  Tensor((rng.normal(size=(c, c, 3, 3, 3)) * 0.2).astype(dtype),
+                         requires_grad=True),
+                  Tensor((rng.normal(size=(3, c, 3, 3, 3)) * 0.2).astype(dtype),
+                         requires_grad=True)]
+        x, gain, bias, w1, w2 = leaves
+        feed = (lambda h: tc.reshape(h, h.shape)) if materialise else (lambda h: h)
+
+        def forward():
+            h = tc.group_norm_swish(x, 1, gain, bias)
+            h = tc.conv3d(feed(h), w1, padding=1)
+            h = tc.upsample_nearest3d(h, factor)
+            return tc.conv3d(feed(h), w2, padding=1)
+
+        return leaves, forward
+
+    def test_conv_keeps_what_its_input_is_made_from(self):
+        # The first conv keeps the norm's remake, the second the upsample's,
+        # and the upsample keeps its input: one activation of x's size. A conv
+        # that kept its input would hold the norm's output and the upsampled
+        # one besides, nine of them.
+        (x, *_), forward = self.chain(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = tc.tmean(forward())
+                held = tracemalloc.get_traced_memory()[0] - before
+                backward(loss)
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * x.data.nbytes
+        assert all(node.remake is None for node in tape.nodes)
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("factor", [2, (1, 2, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_remade_conv_inputs_match_materialised_bitwise(self, dtype, factor):
+        results = []
+        for materialise in (False, True):
+            leaves, forward = self.chain(dtype, factor, materialise)
+            with Tape():
+                out = forward()
+                g = np.random.default_rng(50).normal(size=out.shape).astype(dtype)
+                backward(tc.tsum(tc.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_remade_conv_inputs_add_at_most_one_activation_to_backward_peak(self):
+        # Backward rebuilds a conv's input only in its weight-gradient branch,
+        # and drops it before the input gradient's buffers are made.
+        peaks = []
+        for materialise in (False, True):
+            _, forward = self.chain(np.float32, materialise=materialise)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with Tape():
+                    loss = tc.tmean(forward())
+                    tracemalloc.reset_peak()
+                    backward(loss)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        upsampled = 8 * np.prod(self.CHAIN) * 4
+        assert peaks[0] <= peaks[1] + upsampled
+
     def test_tensor_from_another_tape_is_a_leaf(self):
         x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
         with Tape():
