@@ -76,14 +76,35 @@ def render2d(kp: KeypointSequence, h: int, w: int, sigma: float) -> np.ndarray:
     return gy[:, :, :, None] * gx[:, :, None, :]
 
 
-def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> np.ndarray:
-    """3-D extension, f64 ``[F,K,D,H,W]``: voxel (k,i,j) holds the Gaussian of (x,y,z) distance."""
+def _gauss_zyx(kp: KeypointSequence, d: int, h: int, w: int, sigma: float, caller: str):
+    # the z, y and x Gaussians [F,K,extent] of 3-D keypoints
     if sigma <= 0:
         raise ArgumentError(f"sigma must be positive, got {sigma}")
     if kp.dims != 3:
-        raise ArgumentError(f"render3d needs 3-D keypoints, got dims={kp.dims}")
-    gz, gy, gx = (_gauss_1d(kp, axis, n, sigma) for axis, n in ((2, d), (1, h), (0, w)))
+        raise ArgumentError(f"{caller} needs 3-D keypoints, got dims={kp.dims}")
+    return tuple(_gauss_1d(kp, axis, n, sigma) for axis, n in ((2, d), (1, h), (0, w)))
+
+
+def render3d(kp: KeypointSequence, d: int, h: int, w: int, sigma: float) -> np.ndarray:
+    """3-D extension, f64 ``[F,K,D,H,W]``: voxel (k,i,j) holds the Gaussian of (x,y,z) distance."""
+    gz, gy, gx = _gauss_zyx(kp, d, h, w, sigma, "render3d")
     return gz[:, :, :, None, None] * gy[:, :, None, :, None] * gx[:, :, None, None, :]
+
+
+def render_triplane(kp: KeypointSequence, n: int, sigma: float) -> np.ndarray:
+    """``project_triplane(render3d(kp, n, n, n, sigma))``, f64 ``[F,3K,n,n]``,
+    with the same bytes but no n^3 volume.
+
+    Each projection takes the max of one 1-D Gaussian before multiplying in
+    ``render3d``'s order, (gz * gy) * gx: rounding a product of non-negative
+    factors is monotone in each factor, so the max moves through it.
+    """
+    gz, gy, gx = _gauss_zyx(kp, n, n, n, sigma, "render_triplane")
+    mz, my, mx = (g.max(axis=2, keepdims=True) for g in (gz, gy, gx))
+    xy = (mz * gy)[:, :, :, None] * gx[:, :, None, :]
+    yz = (gz[:, :, :, None] * gy[:, :, None, :]) * mx[:, :, :, None]
+    xz = (gz * my)[:, :, :, None] * gx[:, :, None, :]
+    return np.concatenate([xy, yz, xz], axis=1)
 
 
 def project_triplane(v: np.ndarray) -> np.ndarray:

@@ -435,13 +435,15 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
       in this branch: as one array after ``group_norm_swish``, and not at all
       after ``upsample_nearest3d``, whose planes are repeated straight into
       each block.
-    - The input gradient keeps no per-sample ``dcols``: it GEMMs one slab of
-      output T-planes at a time (about ``_SLAB_BYTES`` of columns, or one
-      plane) and adds each tap's share into one sample's padded gradient.
+    - The input gradient keeps no ``dcols``: it holds one tap's rows of one
+      slab of output T-planes (``C`` rows, about ``_SLAB_BYTES``, or one
+      plane), GEMMs each tap of the slab into them in turn, and adds each
+      into one sample's padded gradient.
 
-    Nothing it holds grows with the batch. With T x H x W grow only one
-    channel's ``cols``, where they exceed ``_SLAB_BYTES``, and one sample's
-    padded input gradient.
+    Nothing it holds grows with the batch or with the kernel's taps. With
+    T x H x W grow only one channel's ``cols``, where they exceed
+    ``_SLAB_BYTES``, one tap's rows of one plane, and one sample's padded
+    input gradient.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -533,21 +535,22 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             # cols and the gx buffers both alive make malloc map fresh pages
             del src, xb, inner, win, cols
         if x_grad:
-            # col2im without dcols. The padded gradient is held as st*sh*sw stride
-            # classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits in a zeroed
-            # [Co, to, hb, wb] grid of the same plane pitch. So each slab's GEMM gives
-            # tap (i, j, k) columns that add, one contiguous run per channel, into
-            # class (i%st, j%sh, k%sw) at offset (i//st, j//sh, k//sw). Only zero
-            # columns run past a class's ta planes.
+            # col2im without dcols, one GEMM per tap. The padded gradient is held as
+            # st*sh*sw stride classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits
+            # in a zeroed [Co, to, hb, wb] grid of the same plane pitch. So tap
+            # (i, j, k)'s GEMM over a slab of output planes gives columns that add,
+            # one contiguous run per channel, into class (i%st, j%sh, k%sw) at offset
+            # (i//st, j//sh, k//sw). Only zero columns run past a class's ta planes.
             ta, hb, wb = -(-tp // st), -(-hp // sh), -(-wp // sw)
             hw = hb * wb
             grid = np.zeros((co, to, hb, wb), dtype=g2.dtype)
             classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=xdt)
             padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
                 .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
+            wt = np.ascontiguousarray(weight.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,C,Co]
             dt = np.result_type(w2, g2)
-            rows = min(to, max(1, _SLAB_BYTES // (ck * hw * dt.itemsize)))
-            slab = np.empty(ck * rows * hw, dtype=dt)
+            rows = min(to, max(1, _SLAB_BYTES // (c * hw * dt.itemsize)))
+            buf = np.empty(c * rows * hw, dtype=dt)  # one tap's rows of one slab
             gx = np.empty((n, c, t, h, w), dtype=xdt)
             for b in range(n):
                 grid[:, :, :ho, :wo] = g2[b].reshape(co, to, ho, wo)
@@ -559,14 +562,14 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 # adding one never changes a sum that starts at +0.
                 for t0 in reversed(range(0, to, rows)):
                     r = min(rows, to - t0)
-                    dcols = slab[:ck * r * hw].reshape(ck, r * hw)
-                    np.matmul(w2.T, grid[:, t0:t0 + r].reshape(co, r * hw), out=dcols)
-                    dcols = dcols.reshape(c, kt, kh, kw, r * hw)
+                    gs = grid[:, t0:t0 + r].reshape(co, r * hw)
+                    tap = buf[:c * r * hw].reshape(c, r * hw)
                     for i in range(kt):
                         for j in range(kh):
                             for k in range(kw):
+                                np.matmul(wt[i, j, k], gs, out=tap)
                                 s = ((i // st + t0) * hb + j // sh) * wb + k // sw
-                                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += dcols[:, i, j, k]
+                                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += tap
                 # Reshaped per sample: above stride 1 the interleave is a copy.
                 gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
         if bias is not None and bias.requires_grad:

@@ -207,24 +207,26 @@ class TrainResult:
     log_lines: list
 
 
-def prepare_windows(config: ModelConfig, data) -> list:
-    """Render keypoint windows, or take ``[T,C,H,W]`` arrays, to [C,T,H,W] f32
-    arrays matching the config."""
+def prepare_window(config: ModelConfig, item) -> np.ndarray:
+    """Render a keypoint window, or take a ``[T,C,H,W]`` array, to a [C,T,H,W]
+    f32 array matching the config."""
     t_ext, h_ext, w_ext = config.input_extents
-    out = []
-    for item in data:
-        if isinstance(item, KeypointSequence):
-            if config.mode == "triplane":
-                vals = hm.project_triplane(hm.render3d(item, h_ext, h_ext, w_ext, config.sigma))
-            else:
-                vals = hm.render2d(item, h_ext, w_ext, config.sigma)
+    if isinstance(item, KeypointSequence):
+        if config.mode == "triplane":
+            vals = hm.render_triplane(item, h_ext, config.sigma)
         else:
-            vals = np.asarray(item)
-        if vals.shape != (t_ext, config.in_channels, h_ext, w_ext):
-            raise ArgumentError(f"window shape {vals.shape} does not match config "
-                                f"({t_ext}, {config.in_channels}, {h_ext}, {w_ext})")
-        out.append(np.moveaxis(vals, 0, 1).astype(np.float32))  # [C,T,H,W]
-    return out
+            vals = hm.render2d(item, h_ext, w_ext, config.sigma)
+    else:
+        vals = np.asarray(item)
+    if vals.shape != (t_ext, config.in_channels, h_ext, w_ext):
+        raise ArgumentError(f"window shape {vals.shape} does not match config "
+                            f"({t_ext}, {config.in_channels}, {h_ext}, {w_ext})")
+    return np.moveaxis(vals, 0, 1).astype(np.float32)
+
+
+def prepare_windows(config: ModelConfig, data) -> list:
+    """``prepare_window`` of each item of ``data``."""
+    return [prepare_window(config, item) for item in data]
 
 
 def _clip_grads(grads: dict, clip: float) -> dict:
@@ -259,17 +261,24 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     adversarial) with one discriminator hinge update per step. With
     ``lambda_adv == 0`` the discriminator is never built, touched, or logged.
     A given ``state`` must have been made with ``config`` and ``seed``.
-    Nothing is written to ``log_stream`` before they and ``opt_buffers`` are
-    accepted.
+    Nothing is written to ``log_stream`` before they, ``opt_buffers`` and
+    every item of ``data`` are accepted.
+
+    It keeps the items of ``data`` as given, prepares each once up front as
+    a check and drops it, then runs ``prepare_window`` on only the windows
+    each step draws: it holds the drawn batch, not the dataset. No step's
+    gradients outlive its update.
     """
     tcfg = tcfg or TrainerConfig()
     if state is not None and (state.config != config or state.seed != seed):
         saved, given = asdict(state.config) | {"seed": state.seed}, asdict(config) | {"seed": seed}
         raise ConfigError("the state to resume differs from this run in " + ", ".join(
             f"{k} ({saved[k]!r}, not {given[k]!r})" for k in saved if saved[k] != given[k]))
-    windows = prepare_windows(config, data)
-    if not windows:
+    items = list(data)
+    if not items:
         raise ArgumentError("train requires non-empty data")
+    for item in items:
+        prepare_window(config, item)  # a bad window raises before anything is written
     adversarial = config.lambda_adv != 0.0
     if state is None:
         state = mdl.build(config, seed, include_discriminator=adversarial)
@@ -305,8 +314,8 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     while state.step < steps:
         step = state.step + 1
         idx_rng = stream_rng(seed, f"batch.{step}")
-        idx = idx_rng.integers(0, len(windows), size=tcfg.batch_size)
-        x = np.stack([windows[i] for i in idx])  # [B,C,T,H,W]
+        idx = idx_rng.integers(0, len(items), size=tcfg.batch_size)
+        x = np.stack([prepare_window(config, items[i]) for i in idx])  # [B,C,T,H,W]
         adv_active = adversarial and step > tcfg.warmup_steps
 
         with Tape():
@@ -329,10 +338,10 @@ def train(config: ModelConfig, data, steps: int, seed: int,
                 checkpoint("abort")
                 raise TrainingError(f"non-finite generator loss at step {step}")
             tc.backward(total)
-        g_grads = _clip_grads(_collect_grads(gen_params), tcfg.grad_clip)
         for p in disc_params.values():
             p.grad = None  # generator pass must not update the discriminator
-        adamw_step(gen_params, g_grads, opt_g, tcfg)
+        adamw_step(gen_params, _clip_grads(_collect_grads(gen_params), tcfg.grad_clip),
+                   opt_g, tcfg)
 
         d_val = 0.0
         if adv_active:
@@ -345,8 +354,8 @@ def train(config: ModelConfig, data, steps: int, seed: int,
                     checkpoint("abort")
                     raise TrainingError(f"non-finite discriminator loss at step {step}")
                 tc.backward(d_loss)
-            d_grads = _clip_grads(_collect_grads(disc_params), tcfg.grad_clip)
-            adamw_step(disc_params, d_grads, opt_d, tcfg)
+            adamw_step(disc_params, _clip_grads(_collect_grads(disc_params), tcfg.grad_clip),
+                       opt_d, tcfg)
 
         if tcfg.reinit_dead_every and step % tcfg.reinit_dead_every == 0:
             qz.reinit_dead_entries(state.codebook, stream_rng(seed, f"reinit.{step}"))

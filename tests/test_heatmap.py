@@ -172,6 +172,33 @@ class TestTriplane:
             hm.project_triplane(np.zeros((1, 1, 2, 3, 4)))
 
 
+class TestRenderTriplane:
+    def test_same_bytes_as_projected_volume(self):
+        # Off-grid joints, and invalid ones with NaN coordinates.
+        rng = np.random.default_rng(17)
+        invalid = 0
+        for _ in range(40):
+            f, k = (int(v) for v in rng.integers(1, 5, size=2))
+            n = int(rng.integers(1, 20))
+            coords = rng.uniform(-3.0, n + 3.0, size=(f, k, 3))
+            valid = rng.uniform(size=(f, k)) > 0.25
+            coords[~valid] = np.nan
+            invalid += int((~valid).sum())
+            sigma = float(rng.uniform(0.3, 4.0))
+            kp = KeypointSequence(coords, valid)
+            got = hm.render_triplane(kp, n, sigma)
+            want = hm.project_triplane(hm.render3d(kp, n, n, n, sigma))
+            assert got.dtype == want.dtype and got.shape == want.shape == (f, 3 * k, n, n)
+            assert got.tobytes() == want.tobytes()
+        assert invalid > 0
+
+    def test_rejects_2d_keypoints_and_bad_sigma(self):
+        with pytest.raises(ArgumentError):
+            hm.render_triplane(KeypointSequence(np.zeros((1, 1, 2))), 4, 1.0)
+        with pytest.raises(ArgumentError):
+            hm.render_triplane(KeypointSequence(np.zeros((1, 1, 3))), 4, 0.0)
+
+
 class TestWindow:
     def test_exact_fit(self):
         kp = KeypointSequence(np.zeros((64, 2, 2)))

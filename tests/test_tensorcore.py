@@ -259,6 +259,34 @@ class TestConv3d:
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
 
+    # The input gradient's slabs hold one tap's C rows of c * hb * wb values a
+    # plane, so SLAB_SHAPES' input gradients fit one slab. A slab of two planes
+    # makes these span several, the last one partial.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("conv", sorted(CONV_CLASSES) + sorted(ANISO))
+    def test_input_grad_slabs_match_batched_reference_bitwise(self, conv, dtype, monkeypatch):
+        if conv in ANISO:
+            k, (s, pad, extents) = 3, ANISO[conv]
+        else:
+            k, s, pad = CONV_CLASSES[conv]
+            s, pad, extents = (s,) * 3, (pad,) * 3, (9, 8, 8)
+        c = 3
+        to = (extents[0] + 2 * pad[0] - k) // s[0] + 1
+        hb, wb = (-(-(e + 2 * p) // st) for e, p, st in zip(extents[1:], pad[1:], s[1:]))
+        assert to > 2 and to % 2, "the input gradient must span several slabs, the last partial"
+        monkeypatch.setattr(tc, "_SLAB_BYTES", 2 * c * hb * wb * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(15)
+        xv = rng.normal(size=(2, c) + extents).astype(dtype)
+        wv = rng.normal(size=(4, c, k, k, k)).astype(dtype)
+        x = Tensor(xv, requires_grad=True)
+        with Tape():
+            out = tc.conv3d(x, Tensor(wv), stride=s, padding=pad)
+            g = rng.normal(size=out.shape).astype(dtype)
+            backward(tc.tsum(tc.mul(out, Tensor(g))))
+        want = conv3d_batched_reference(xv, wv, None, s, pad, g)[1]
+        assert x.grad.dtype == want.dtype
+        assert np.array_equal(x.grad, want)
+
     # (conv, [N,C,T,H,W]) whose weight gradient spans several input-channel
     # blocks: the smoke model's full-resolution k3s1 convs (8 and 16 channels,
     # blocks of 2), and 19 channels at k3s2 and at half-resolution k3s1, whose
@@ -425,6 +453,27 @@ class TestConv3d:
             tracemalloc.stop()
         assert gx.shape == x.shape
         assert peak < window_dcols
+
+    def test_input_grad_holds_one_tap_of_one_slab(self):
+        # Beyond g, a frozen-weight k3s1 input gradient holds g on the padded
+        # plane pitch, one sample's padded gradient, gx, and one tap's C rows
+        # of one slab of output planes: no ck-row dcols slab.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        n, c, t, h, w = 2, 8, 16, 32, 32
+        x = Tensor(rng.normal(size=(n, c, t, h, w)).astype(np.float32), requires_grad=True)
+        wt = Tensor(rng.normal(size=(8, c, k, k, k)).astype(np.float32))
+        with Tape() as tape:
+            out = tc.conv3d(x, wt, stride=s, padding=pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        hw = (h + 2) * (w + 2)
+        grid = 8 * t * hw * 4
+        classes = c * (t + 2 + 1) * hw * 4
+        rows = min(t, max(1, tc._SLAB_BYTES // (c * hw * 4)))
+        tap = c * rows * hw * 4
+        (gx, _, _), _, peak = traced(lambda: tape.nodes[-1].backward_fn(g))
+        assert gx.shape == x.shape
+        assert peak <= grid + classes + gx.nbytes + 1.25 * tap
 
     def test_skips_input_grad_when_input_is_constant(self):
         rng = np.random.default_rng(5)

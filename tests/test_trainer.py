@@ -1,5 +1,8 @@
+import io
 import json
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -336,6 +339,63 @@ class TestTrainLoop:
     def test_empty_data_rejected(self):
         with pytest.raises(ArgumentError):
             tr.train(tiny_config(), [], steps=1, seed=0)
+
+    def test_bad_window_rejected_before_any_output(self, tmp_path):
+        cfg = tiny_config()
+        t, h, w = cfg.input_extents
+        bad = np.zeros((t, cfg.in_channels, h, w + 1), dtype=np.float32)
+        data = tiny_windows(cfg, n=3) + [bad] + tiny_windows(cfg, n=2, seed=1)
+        log = io.StringIO()
+        with pytest.raises(ArgumentError):
+            tr.train(cfg, data, steps=3, seed=0, tcfg=fast_tcfg(checkpoint_every=1),
+                     out_dir=tmp_path, log_stream=log)
+        assert log.getvalue() == ""
+        assert not list(tmp_path.iterdir())
+
+
+class TestTrainMemory:
+    def test_step_gradients_dead_before_next_forward(self, monkeypatch):
+        # Weak references to the gradients each adamw_step receives; none may
+        # be alive when the next step's encoder forward starts.
+        refs, seen = [], []
+        adamw_step, encoder_forward = tr.adamw_step, mdl.encoder_forward
+
+        def spy_adamw(params, grads, opt, tcfg):
+            refs.extend(weakref.ref(g) for g in grads.values())
+            adamw_step(params, grads, opt, tcfg)
+
+        def spy_encoder(state, x):
+            seen.append((len(refs), sum(r() is not None for r in refs)))
+            refs.clear()
+            return encoder_forward(state, x)
+
+        monkeypatch.setattr(tr, "adamw_step", spy_adamw)
+        monkeypatch.setattr(mdl, "encoder_forward", spy_encoder)
+        cfg = tiny_config(lambda_adv=0.1)
+        tr.train(cfg, tiny_windows(cfg), steps=3, seed=0, tcfg=fast_tcfg(warmup_steps=0))
+        assert seen[0] == (0, 0)
+        # steps 2 and 3 follow a generator and a discriminator update
+        assert [alive for _, alive in seen] == [0, 0, 0]
+        assert all(taken > 0 for taken, _ in seen[1:])
+
+    def test_peak_does_not_grow_with_dataset(self):
+        # Training holds the drawn batch, not the dataset: 32 windows may
+        # raise the peak of 2 steps over 4 windows' by at most two windows.
+        cfg = tiny_config()
+
+        def peak(n):
+            data = tiny_windows(cfg, n=n)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tr.train(cfg, data, steps=2, seed=0, tcfg=fast_tcfg())
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # lazy set-up outside the comparison
+        window = tiny_windows(cfg, n=1)[0].nbytes
+        assert peak(32) - peak(4) <= 2 * window
 
 
 class TestLossLog:

@@ -14,7 +14,7 @@ verdicts:
 
 - ``gain``: of at least ten pairs, the change won nine tenths or more, and
   its median beats the base's by more than the distance between the base's
-  quartiles;
+  quartiles, and for ``peak_rss_mb`` by more than 1 MB;
 - ``within_bound``: the change's median is no worse than the base's by more
   than the metric's bound.
 
@@ -37,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SHARE_TO_WIN = 0.9
 MIN_PAIRS = 10  # fewer pairs show no gain, however they fall
+# The least median margin a gain needs beyond the base's spread. Peak RSS moves
+# by a few tenths of a MB between checkouts that run the same code.
+MIN_MARGIN = {"peak_rss_mb": 1.0}
 
 
 def git(*args) -> str:
@@ -102,7 +105,7 @@ def compare(spec: dict, pairs: list) -> dict:
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "base": sb, "change": sc, "change_won": won, "change_lost": lost,
             "gain": (len(whole) >= MIN_PAIRS and won >= SHARE_TO_WIN * len(whole)
-                     and margin > spread),
+                     and margin > max(spread, MIN_MARGIN.get(m["name"], 0.0))),
             "within_bound": -margin <= m["bound"] * abs(sb["median"]),
         }
     return out
