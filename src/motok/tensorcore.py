@@ -27,7 +27,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+            arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -270,7 +270,7 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """1 / (1 + exp(-x)). The node keeps its input and output."""
+    """1 / (1 + exp(-x)). The node keeps only its output."""
     out = _sigmoid(x.data)
 
     def bwd(g):
@@ -278,31 +278,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (np.multiply(gx, np.subtract(1.0, out), out=gx),)
 
     return _record((x,), out, bwd)
-
-
-def _swish(a: np.ndarray) -> np.ndarray:
-    """a * sigmoid(a), computed in one new array."""
-    out = _sigmoid(a)
-    return np.multiply(a, out, out=out)
-
-
-def _swish_grad(g: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
-    """g * (s + a * s * (1 - s)), with s = sigmoid(a) recomputed. ``out`` may
-    be ``a`` itself, when the caller no longer needs it."""
-    s = _sigmoid(a)
-    d = np.multiply(a, s, out=out)
-    np.multiply(d, np.subtract(1.0, s), out=d)
-    np.add(s, d, out=d)
-    return _into(d, np.multiply, g, d)
-
-
-def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x). The node keeps only its input: backward recomputes the
-    sigmoid, with the same bytes."""
-    def bwd(g):
-        return (_swish_grad(g, x.data),)
-
-    return _record((x,), _swish(x.data), bwd)
 
 
 def tabs(x: Tensor) -> Tensor:
@@ -605,101 +580,74 @@ def upsample_nearest3d(x: Tensor, factor) -> Tensor:
     return _record((x,), remake().reshape(n, c, t * ft, h * fh, w * fw), bwd, remake)
 
 
-def _group_stats(x: Tensor, groups: int, gain: Tensor, bias: Tensor, eps: float):
-    """Check group_norm's arguments. Returns ``x`` as [N, groups, C/groups * m],
-    each group's mean and inverse deviation, and gain and bias shaped to
-    broadcast over ``x``."""
+def group_norm_swish(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
+                     eps: float = 1e-6) -> Tensor:
+    """Per-group standardization over [N,C,...], a per-channel affine, then
+    swish: ``y * sigmoid(y)`` for ``y = xhat * gain + bias``, as one node.
+
+    The node keeps ``x`` and each group's mean and inverse deviation, not
+    ``xhat`` or ``y``. Backward recomputes ``y`` and its sigmoid for swish's
+    gradient, then ``xhat`` for the norm's. Its ``remake`` runs forward again
+    from the same state, so a conv3d that reads the output keeps no copy of
+    it. Beyond its input, forward and ``remake`` hold two arrays of the
+    output's size, and backward four next to its incoming gradient.
+    """
     if x.data.ndim < 2:
-        raise ShapeError("group_norm input must have at least [N,C] axes")
+        raise ShapeError("group_norm_swish input must have at least [N,C] axes")
     n, c = x.shape[0], x.shape[1]
     if c % groups != 0:
         raise ArgumentError(f"channel count {c} not divisible by {groups} groups")
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"gain/bias must have shape ({c},)")
-    spatial = x.shape[2:]
-    m = int(np.prod(spatial, dtype=np.int64)) if spatial else 1
+    shape, dtype = x.shape, x.dtype
+    m = int(np.prod(shape[2:], dtype=np.int64))
     xg = x.data.reshape(n, groups, (c // groups) * m)
     mu = xg.mean(axis=2, keepdims=True)
     var = xg.var(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    gshape = (1, c) + (1,) * len(spatial)
-    return xg, mu, inv, gain.data.reshape(gshape), bias.data.reshape(gshape)
+    gshape = (1, c) + (1,) * (len(shape) - 2)
+    gain_c, bias_c = gain.data.reshape(gshape), bias.data.reshape(gshape)
 
+    def standardized():  # xhat as [N, groups, C/groups * m], in one new array
+        xh = np.subtract(xg, mu)
+        return _into(xh, np.multiply, xh, inv)
 
-def _standardized(xg, mu, inv) -> np.ndarray:
-    """(xg - mu) * inv, as [N, groups, C/groups * m], in one new array."""
-    xh = np.subtract(xg, mu)
-    return _into(xh, np.multiply, xh, inv)
-
-
-def _affine(xh, shape, gain_c, bias_c) -> np.ndarray:
-    """xh * gain + bias as ``shape``, in ``xh``'s array where dtypes allow."""
-    out = xh.reshape(shape)
-    out = _into(out, np.multiply, out, gain_c)
-    return _into(out, np.add, out, bias_c)
-
-
-def _group_norm_grads(g, xh, inv, gain_c, dtype) -> tuple:
-    """The gradients of group_norm's x, gain and bias, from its output's
-    gradient ``g`` and the recomputed ``xh``, whose array it reuses. Beyond
-    ``g`` and ``xh``, it holds two arrays of their size."""
-    axes = (0,) + tuple(range(2, g.ndim))
-    t = g * xh.reshape(g.shape)
-    ggain = t.sum(axis=axes)
-    gbias = g.sum(axis=axes)
-    dxhat = _into(t, np.multiply, g, gain_c).reshape(xh.shape)
-    mean_d = dxhat.mean(axis=2, keepdims=True)
-    u = dxhat * xh
-    mean_dx = u.mean(axis=2, keepdims=True)
-    u = _into(u, np.subtract, dxhat, mean_d)  # dxhat - mean_d - xh * mean_dx
-    xh = _into(xh, np.multiply, xh, mean_dx)
-    u = _into(u, np.subtract, u, xh)
-    gx = _into(u, np.multiply, inv, u).reshape(g.shape)
-    return gx.astype(dtype, copy=False), ggain, gbias
-
-
-def group_norm(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
-               eps: float = 1e-6) -> Tensor:
-    """Per-group standardization over [N,C,...] followed by per-channel affine.
-
-    The node keeps ``x`` and each group's mean and inverse deviation, not the
-    standardized ``xhat``: backward recomputes it, with the same bytes. Beyond
-    its input, forward holds one array of the output's size, and backward
-    three next to its incoming gradient.
-    """
-    xg, mu, inv, gain_c, bias_c = _group_stats(x, groups, gain, bias, eps)
-    dtype = x.dtype
-
-    def bwd(g):
-        return _group_norm_grads(g, _standardized(xg, mu, inv), inv, gain_c, dtype)
-
-    out = _affine(_standardized(xg, mu, inv), x.shape, gain_c, bias_c)
-    return _record((x, gain, bias), out, bwd)
-
-
-def group_norm_swish(x: Tensor, groups: int, gain: Tensor, bias: Tensor,
-                     eps: float = 1e-6) -> Tensor:
-    """``swish(group_norm(x, groups, gain, bias, eps))`` as one node, with the
-    same bytes forward and backward.
-
-    The node keeps what group_norm's keeps: ``x`` and each group's mean and
-    inverse deviation. Backward recomputes the affine output and its sigmoid
-    for swish's gradient, then ``xhat`` for group_norm's. Its ``remake`` runs
-    forward again from the same state, so a conv3d that reads the output
-    keeps no copy of it. Beyond its input, forward and ``remake`` hold two
-    arrays of the output's size, and backward four next to its incoming
-    gradient.
-    """
-    xg, mu, inv, gain_c, bias_c = _group_stats(x, groups, gain, bias, eps)
-    shape, dtype = x.shape, x.dtype
+    def affine():  # y, in xhat's array where dtypes allow
+        y = standardized().reshape(shape)
+        y = _into(y, np.multiply, y, gain_c)
+        return _into(y, np.add, y, bias_c)
 
     def remake():
-        return _swish(_affine(_standardized(xg, mu, inv), shape, gain_c, bias_c))
+        y = affine()
+        s = _sigmoid(y)
+        return np.multiply(y, s, out=s)
 
     def bwd(g):
-        y = _affine(_standardized(xg, mu, inv), shape, gain_c, bias_c)
-        gy = _swish_grad(g, y, out=y).astype(y.dtype, copy=False)  # as the tape casts it
-        return _group_norm_grads(gy, _standardized(xg, mu, inv), inv, gain_c, dtype)
+        # Swish's gradient g * (s + y * s * (1 - s)), written into y's array
+        # and cast as the tape casts it.
+        y = affine()
+        s = _sigmoid(y)
+        d = np.multiply(y, s, out=y)
+        np.multiply(d, np.subtract(1.0, s), out=d)
+        np.add(s, d, out=d)
+        s = None  # freed before the norm's gradients make their arrays
+        g = _into(d, np.multiply, g, d).astype(y.dtype, copy=False)
+        # The norm's gradients, from g and the recomputed xhat, whose array
+        # they reuse. Beyond g and xh, they hold two arrays of their size.
+        xh = standardized()
+        axes = (0,) + tuple(range(2, g.ndim))
+        t = g * xh.reshape(g.shape)
+        ggain = t.sum(axis=axes)
+        gbias = g.sum(axis=axes)
+        dxhat = _into(t, np.multiply, g, gain_c).reshape(xh.shape)
+        mean_d = dxhat.mean(axis=2, keepdims=True)
+        u = dxhat * xh
+        mean_dx = u.mean(axis=2, keepdims=True)
+        u = _into(u, np.subtract, dxhat, mean_d)  # dxhat - mean_d - xh * mean_dx
+        xh = _into(xh, np.multiply, xh, mean_dx)
+        u = _into(u, np.subtract, u, xh)
+        gx = _into(u, np.multiply, inv, u).reshape(g.shape)
+        return gx.astype(dtype, copy=False), ggain, gbias
 
     return _record((x, gain, bias), remake(), bwd, remake)
 

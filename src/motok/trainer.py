@@ -261,8 +261,9 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     adversarial) with one discriminator hinge update per step. With
     ``lambda_adv == 0`` the discriminator is never built, touched, or logged.
     A given ``state`` must have been made with ``config`` and ``seed``.
-    Nothing is written to ``log_stream`` before they, ``opt_buffers`` and
-    every item of ``data`` are accepted.
+    Nothing is written to ``log_stream`` before they, ``opt_buffers``,
+    ``steps`` (not below the step it starts from) and every item of ``data``
+    are accepted.
 
     It keeps the items of ``data`` as given, prepares each once up front as
     a check and drops it, then runs ``prepare_window`` on only the windows
@@ -274,6 +275,9 @@ def train(config: ModelConfig, data, steps: int, seed: int,
         saved, given = asdict(state.config) | {"seed": state.seed}, asdict(config) | {"seed": seed}
         raise ConfigError("the state to resume differs from this run in " + ", ".join(
             f"{k} ({saved[k]!r}, not {given[k]!r})" for k in saved if saved[k] != given[k]))
+    start = state.step if state is not None else 0
+    if steps < start:
+        raise ArgumentError(f"steps {steps} is below the step training starts from, {start}")
     items = list(data)
     if not items:
         raise ArgumentError("train requires non-empty data")

@@ -104,7 +104,9 @@ class TestCriterion1:
         run(lambda a: tc.tsum(tc.relu(a)), safe)
         run(lambda a: tc.tsum(tc.leaky_relu(a)), safe)
         run(lambda a: tc.tsum(tc.sigmoid(a)), single)
-        run(lambda a: tc.tsum(tc.swish(a)), single)
+        run(lambda a, g, o: tc.tsum(tc.group_norm_swish(a, 2, g, o)),
+            lambda rng: [rng.normal(size=(3, 4)), rng.uniform(0.5, 1.5, size=4),
+                         rng.normal(size=4) * 0.2])
         run(lambda a: tc.tsum(tc.tabs(a)), safe)
         run(lambda a: tc.tsum(tc.sqrt(a)),
             lambda rng: [rng.uniform(0.5, 2.0, size=(3, 4))])
@@ -134,8 +136,8 @@ class TestCriterion1:
                                        rng.normal(size=3)])
 
         def gn_build(x, g, o):
-            return tc.tsum(tc.mul(tc.group_norm(x, 2, g, o),
-                                  tc.group_norm(x, 2, g, o)))
+            return tc.tsum(tc.mul(tc.group_norm_swish(x, 2, g, o),
+                                  tc.group_norm_swish(x, 2, g, o)))
 
         run(gn_build, lambda rng: [rng.normal(size=(2, 4, 2, 3, 3)),
                                    rng.uniform(0.5, 1.5, size=4),

@@ -292,6 +292,35 @@ class TestTrain:
         assert (run / "ckpt_final.mck").read_bytes() == final
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_negative_steps_code(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", str(workspace["config"]),
+                         "--data", str(workspace["keypoints"]), "--steps", "-3",
+                         "--seed", "3", "--out", str(run)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(run.glob("*.mck"))
+        assert not (run / "loss_log.jsonl").exists()
+
+    def test_resume_past_steps_code(self, workspace, tmp_path, capsys):
+        # A 2-step run, resumed from its step-2 checkpoint with --steps 1:
+        # that step is behind it, so nothing is trained or written.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(TINY_CONFIG["trainer"],
+                                                                  checkpoint_every=1))))
+        run = tmp_path / "run"
+
+        def train(steps, *resume):
+            return cli.main(["train", "--config", str(cfg),
+                             "--data", str(workspace["keypoints"]), "--steps", str(steps),
+                             "--seed", "3", *resume, "--out", str(run)])
+
+        assert train(2) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "manifest.json"}
+        assert train(1, "--resume", str(run / "ckpt_0000002.mck")) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "manifest.json"}
+        assert after == before
+
     @settings(FUZZ, max_examples=25)
     @given(data=st.data())
     def test_corrupt_checkpoint_resume_never_crashes(self, workspace, tmp_path, data):

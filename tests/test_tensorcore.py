@@ -135,6 +135,16 @@ def reference_swish(x, g):
     return x * s, (g * (s + x * s * (1.0 - s)),)
 
 
+def reference_group_norm_swish(x, g, groups, gain, bias, eps=1e-6):
+    """group_norm_swish's output and gradients (x, gain, bias):
+    reference_swish of reference_group_norm, with swish's gradient cast to
+    the norm output's dtype, as the tape casts a gradient to its producer's."""
+    y, _ = reference_group_norm(x, g, groups, gain, bias, eps)
+    out, (gy,) = reference_swish(y, g)
+    _, grads = reference_group_norm(x, gy.astype(y.dtype, copy=False), groups, gain, bias, eps)
+    return out, grads
+
+
 def reference_sigmoid(x, g):
     out = 1.0 / (1.0 + np.exp(-x))
     return out, (g * out * (1.0 - out),)
@@ -222,9 +232,8 @@ class TestConv3d:
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
 
-    # f32 inputs whose per-sample cols, in forward, and input-gradient columns
-    # on the [hb, wb] grid, in backward, span several _SLAB_BYTES slabs, the
-    # last one partial.
+    # f32 inputs whose per-sample cols span several _SLAB_BYTES slabs in
+    # forward, the last one partial.
     SLAB_SHAPES = {"k3s1": (2, 4, 19, 40, 40), "k3s2": (2, 4, 37, 80, 80)}
 
     @pytest.mark.parametrize("trainable", [False, True])
@@ -236,9 +245,6 @@ class TestConv3d:
         to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
         rows = tc._SLAB_BYTES // (c * k ** 3 * ho * wo * 4)
         assert 1 <= rows < to and to % rows, "the shape must span several slabs, the last partial"
-        hb, wb = (-(-(e + 2 * pad) // s) for e in shape[3:])
-        rows = tc._SLAB_BYTES // (c * k ** 3 * hb * wb * 4)
-        assert 1 <= rows < to and to % rows, "backward must span several slabs, the last partial"
         rng = np.random.default_rng(12)
         xv = rng.normal(size=shape).astype(np.float32)
         wv = rng.normal(size=(5, c, k, k, k)).astype(np.float32)
@@ -567,13 +573,16 @@ class TestElementwise:
             tc.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_swish_gradcheck(self):
+        # Swish as group_norm_swish runs it, on a spread-out gain and bias.
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(8,))
+        x = rng.normal(size=(1, 2, 4))
+        gain = rng.normal(size=2) * 2.0
+        bias = rng.normal(size=2)
 
-        def build(xt):
-            return tc.tsum(tc.swish(xt))
+        def build(xt, gt, bt):
+            return tc.tsum(tc.group_norm_swish(xt, 2, gt, bt))
 
-        assert check_grads(build, [x]) < 1e-5
+        assert check_grads(build, [x, gain, bias]) < 1e-5
 
     @pytest.mark.parametrize("op", [tc.add, tc.sub, tc.mul])
     def test_binary_gradcheck(self, op):
@@ -592,21 +601,22 @@ class TestGroupNorm:
         x = Tensor(np.full((2, 4, 3, 3, 3), 5.0))
         gain = Tensor(np.ones(4))
         bias = Tensor(np.arange(4.0))
-        out = tc.group_norm(x, 2, gain, bias)
-        want = np.broadcast_to(np.arange(4.0)[None, :, None, None, None], x.shape)
+        out = tc.group_norm_swish(x, 2, gain, bias)
+        want, _ = reference_swish(np.arange(4.0)[None, :, None, None, None], 0.0)
+        want = np.broadcast_to(want, x.shape)
         assert np.max(np.abs(out.numpy() - want)) < 1e-3
 
     def test_standardized_passthrough(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 4, 6, 6))
         x = (x - x.mean()) / x.std()
-        out = tc.group_norm(Tensor(x), 1, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        assert np.max(np.abs(out.numpy() - x)) < 1e-3
+        out = tc.group_norm_swish(Tensor(x), 1, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        assert np.max(np.abs(out.numpy() - reference_swish(x, 0.0)[0])) < 1e-3
 
     def test_indivisible_groups(self):
         with pytest.raises(ArgumentError):
-            tc.group_norm(Tensor(np.zeros((1, 5, 2, 2))), 2,
-                          Tensor(np.ones(5)), Tensor(np.zeros(5)))
+            tc.group_norm_swish(Tensor(np.zeros((1, 5, 2, 2))), 2,
+                                Tensor(np.ones(5)), Tensor(np.zeros(5)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(17)
@@ -615,7 +625,7 @@ class TestGroupNorm:
         bias = rng.normal(size=4)
 
         def build(xt, gt, bt):
-            out = tc.group_norm(xt, 2, gt, bt)
+            out = tc.group_norm_swish(xt, 2, gt, bt)
             return tc.tsum(tc.mul(out, out))
 
         assert check_grads(build, [x, gain, bias]) < 1e-4
@@ -629,9 +639,9 @@ class TestActivationMemory:
     SMALL = (2, 4, 16, 32, 32)
     GAIN, BIAS = np.linspace(-1.5, 2.0, 4), np.linspace(0.5, -0.25, 4)
     OPS = {
-        "group_norm": (lambda x, p: tc.group_norm(x, 2, *p),
-                       lambda x, g, p: reference_group_norm(x, g, 2, *(t.data for t in p))),
-        "swish": (lambda x, p: tc.swish(x), lambda x, g, p: reference_swish(x, g)),
+        "group_norm_swish": (lambda x, p: tc.group_norm_swish(x, 2, *p),
+                             lambda x, g, p: reference_group_norm_swish(
+                                 x, g, 2, *(t.data for t in p))),
         "sigmoid": (lambda x, p: tc.sigmoid(x), lambda x, g, p: reference_sigmoid(x, g)),
         "relu": (lambda x, p: tc.relu(x), lambda x, g, p: reference_relu(x, g)),
         "leaky_relu": (lambda x, p: tc.leaky_relu(x), lambda x, g, p: reference_leaky_relu(x, g)),
@@ -646,7 +656,7 @@ class TestActivationMemory:
     def test_matches_reference_expressions_bitwise(self, op, dtype):
         # Forward and every gradient equal the plain expressions byte for byte,
         # dtype included, with +-0 and +-inf in the input. Infinities sit in
-        # the first group of the first sample, which group_norm turns to NaN.
+        # the first group of the first sample, which the norm turns to NaN.
         rng = np.random.default_rng(43)
         x = (rng.normal(size=self.SHAPE) * 4).astype(dtype)
         x.flat[:6] = [np.inf, -np.inf, 0.0, -0.0, 40.0, -100.0]
@@ -667,29 +677,29 @@ class TestActivationMemory:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_group_norm_swish_matches_composition_bitwise(self, dtype):
         # The fused node's output and the gradients a whole backward gives x,
-        # gain and bias equal those of swish(group_norm(...)) byte for byte.
+        # gain and bias equal those of the reference composition, the plain
+        # group norm then swish, byte for byte.
         rng = np.random.default_rng(46)
         x = (rng.normal(size=self.SHAPE) * 4).astype(dtype)
         x.flat[:6] = [np.inf, -np.inf, 0.0, -0.0, 40.0, -100.0]
         x[1, :, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
         g = Tensor(rng.normal(size=self.SHAPE).astype(dtype))
         g.data.flat[-2:] = [0.0, -0.0]
-        results = []
-        for fn in (lambda xt, p: tc.swish(tc.group_norm(xt, 2, *p)),
-                   lambda xt, p: tc.group_norm_swish(xt, 2, *p)):
-            xt, p = Tensor(x, requires_grad=True), self.params(dtype)
-            with np.errstate(all="ignore"), Tape():
-                out = fn(xt, p)
+        xt, p = Tensor(x, requires_grad=True), self.params(dtype)
+        with np.errstate(all="ignore"):
+            with Tape():
+                out = tc.group_norm_swish(xt, 2, *p)
                 backward(tc.tsum(tc.mul(out, g)))  # out's gradient is g
-            results.append((out.data, xt.grad) + tuple(t.grad for t in p))
+            want_out, want_grads = reference_group_norm_swish(x, g.data, 2, *(t.data for t in p))
+        results = [(want_out,) + want_grads, (out.data, xt.grad) + tuple(t.grad for t in p)]
         for want, got in zip(*results):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("op", ["group_norm", "swish"])
+    @pytest.mark.parametrize("op", ["group_norm_swish", "sigmoid"])
     def test_tape_keeps_no_more_than_the_output(self, op):
-        # Beyond its input, the node keeps about its output: group_norm no
-        # xhat, swish no sigmoid.
+        # Beyond its input, the node keeps about its output: group_norm_swish
+        # no xhat, y or sigmoid, sigmoid only the output itself.
         x = Tensor(np.random.default_rng(44).normal(size=self.SMALL).astype(np.float32),
                    requires_grad=True)
         p = self.params(np.float32)
@@ -703,12 +713,20 @@ class TestActivationMemory:
         assert len(tape.nodes) == 1
         assert held <= 1.25 * out.data.nbytes
 
-    @pytest.mark.parametrize("op", ["group_norm", "swish", "sigmoid"])
+    @pytest.mark.parametrize("op", ["sigmoid"])
     def test_forward_peak_without_tape_is_one_output(self, op):
         x = Tensor(np.random.default_rng(45).normal(size=self.SMALL).astype(np.float32))
         p = self.params(np.float32)
         out, _, peak = traced(lambda: self.OPS[op][0](x, p))
         assert peak <= 1.25 * out.data.nbytes
+
+    def test_group_norm_swish_forward_peak_is_two_outputs(self):
+        # Beyond its input, forward holds the affine output and its sigmoid,
+        # which becomes the output.
+        x = Tensor(np.random.default_rng(45).normal(size=self.SMALL).astype(np.float32))
+        p = self.params(np.float32)
+        out, _, peak = traced(lambda: self.OPS["group_norm_swish"][0](x, p))
+        assert peak <= 2.25 * out.data.nbytes
 
 
 class TestStopGradient:
@@ -761,7 +779,7 @@ class TestBackward:
 
         def build(xt, wt, gt, bt):
             h = tc.conv3d(xt, wt, stride=1, padding=1)
-            h = tc.group_norm(h, 1, gt, bt)
+            h = tc.group_norm_swish(h, 1, gt, bt)
             return tc.tsum(tc.relu(h))
 
         assert check_grads(build, [x, w, gain, bias], h=1e-5) < 1e-4
@@ -795,9 +813,10 @@ class TestTape:
         try:
             before = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                h = tc.group_norm(x, 2, gain, bias)
-                for op in (tc.swish, tc.leaky_relu, tc.sigmoid, tc.swish):
+                h = tc.group_norm_swish(x, 2, gain, bias)
+                for op in (tc.leaky_relu, tc.sigmoid, tc.leaky_relu):
                     h = op(h)
+                h = tc.group_norm_swish(h, 2, gain, bias)
                 backward(tc.tmean(h))
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -922,6 +941,21 @@ class TestTape:
                 tracemalloc.stop()
         upsampled = 8 * np.prod(self.CHAIN) * 4
         assert peaks[0] <= peaks[1] + upsampled
+
+    @pytest.mark.parametrize("op", ["group_norm_swish-float32", "group_norm_swish-float64",
+                                    "upsample-float32"])
+    def test_remake_rebuilds_the_output(self, op):
+        # The _Node contract: remake(), reshaped to the output's shape, is the
+        # output byte for byte.
+        name, dtype = op.split("-")
+        (x, gain, bias, *_), _ = self.chain(np.dtype(dtype))
+        with Tape() as tape:
+            if name == "upsample":
+                out = tc.upsample_nearest3d(x, (1, 2, 3))
+            else:
+                out = tc.group_norm_swish(x, 1, gain, bias)
+        remade = tape.nodes[-1].remake().reshape(out.shape)
+        assert remade.dtype == out.dtype and remade.tobytes() == out.data.tobytes()
 
     def test_tensor_from_another_tape_is_a_leaf(self):
         x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
