@@ -88,55 +88,6 @@ def _load_items(path, config: mdl.ModelConfig, stride: int) -> list:
     return windows
 
 
-def _log_lines_through(log_path: Path, step: int) -> list:
-    """The lines of an earlier run's loss log up to and including ``step``.
-
-    A run resumed from a checkpoint taken before that run stopped repeats
-    the steps after it, so their old lines must go. A last line without its
-    newline is a write cut short and goes too.
-    """
-    if not log_path.exists():
-        return []
-    kept = []
-    with open(log_path, "rb") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                if json.loads(line)["step"] > step:
-                    break
-            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
-                raise DataError(f"{log_path}:{lineno}: malformed loss log line: {exc}") from exc
-            kept.append(line.decode("utf-8"))
-    return kept
-
-
-class _LogFromFirstWrite:
-    """The loss log, rewritten to ``kept`` at its first write or flush.
-
-    ``tr.train`` writes and flushes only after it has accepted the resumed
-    state and its optimizer buffers, so a rejected resume leaves the old log
-    as it was.
-    """
-
-    def __init__(self, log_path: Path, kept: list):
-        self.log_path, self.kept, self.stream = log_path, kept, None
-
-    def write(self, text: str) -> int:
-        if self.stream is None:
-            self.stream = open(self.log_path, "w", encoding="utf-8")
-            self.stream.writelines(self.kept)
-        return self.stream.write(text)
-
-    def flush(self):
-        self.write("")
-        self.stream.flush()
-
-    def close(self):
-        if self.stream is not None:
-            self.stream.close()
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -164,27 +115,15 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     items = _load_items(args.data, model_cfg, stride)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    state = None
-    opt_buffers = None
-    log_path = out_dir / "loss_log.jsonl"
-    kept = []
-    if args.resume:
-        state, opt_buffers = mdl.load_checkpoint(args.resume)
-        kept = _log_lines_through(log_path, state.step)
-    log_stream = _LogFromFirstWrite(log_path, kept)
-    try:
-        result = tr.train(model_cfg, items, args.steps, seed, trainer_cfg,
-                          state=state, opt_buffers=opt_buffers,
-                          out_dir=out_dir, log_stream=log_stream)
-    finally:
-        log_stream.close()
+    state, opt_buffers = mdl.load_checkpoint(args.resume) if args.resume else (None, None)
+    result = tr.train(model_cfg, items, args.steps, seed, trainer_cfg,
+                      state=state, opt_buffers=opt_buffers, out_dir=out_dir)
     final = out_dir / "ckpt_final.mck"
     write_manifest(out_dir / "manifest.json", "train",
                    {"model": asdict(model_cfg), "trainer": asdict(trainer_cfg),
                     "window_stride": stride, "steps": args.steps},
-                   seed, [args.config, args.data], [final, log_path], started)
+                   seed, [args.config, args.data], [final, out_dir / "loss_log.jsonl"],
+                   started)
     print(f"trained to step {result.state.step}; checkpoint at {final}")
     return 0
 

@@ -27,8 +27,6 @@ class Codebook:
     usage: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not isinstance(self.entries, Tensor):
-            self.entries = Tensor(self.entries, requires_grad=True)
         if self.entries.data.ndim != 2:
             raise ShapeError(f"codebook entries must be [V,d], got {self.entries.shape}")
         if self.vocab < 2 or self.dim < 1:

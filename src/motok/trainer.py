@@ -242,13 +242,27 @@ def _clip_grads(grads: dict, clip: float) -> dict:
     return {k: g * scale for k, g in grads.items()}
 
 
-def _collect_grads(params: dict) -> dict:
-    grads = {}
-    for name, p in params.items():
-        if p.grad is not None:
-            grads[name] = p.grad
-        p.grad = None
-    return grads
+def _log_lines_through(log_path: Path, step: int) -> list:
+    """The lines of an earlier run's loss log up to and including ``step``.
+
+    A run resumed from a checkpoint taken before that run stopped repeats
+    the steps after it, so their old lines must go. A last line without its
+    newline is a write cut short and goes too.
+    """
+    if not log_path.exists():
+        return []
+    kept = []
+    with open(log_path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                if json.loads(line)["step"] > step:
+                    break
+            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+                raise DataError(f"{log_path}:{lineno}: malformed loss log line: {exc}") from exc
+            kept.append(line.decode("utf-8"))
+    return kept
 
 
 def train(config: ModelConfig, data, steps: int, seed: int,
@@ -261,9 +275,12 @@ def train(config: ModelConfig, data, steps: int, seed: int,
     adversarial) with one discriminator hinge update per step. With
     ``lambda_adv == 0`` the discriminator is never built, touched, or logged.
     A given ``state`` must have been made with ``config`` and ``seed``.
-    Nothing is written to ``log_stream`` before they, ``opt_buffers``,
-    ``steps`` (not below the step it starts from) and every item of ``data``
-    are accepted.
+    Nothing is written before they, ``opt_buffers``, ``steps`` (not below the
+    step it starts from) and every item of ``data`` are accepted.
+
+    With ``out_dir``, each step's line is in ``out_dir/loss_log.jsonl``
+    before that step's checkpoint; a resume keeps the lines up to its step.
+    ``log_stream``, if given, gets the same lines.
 
     It keeps the items of ``data`` as given, prepares each once up front as
     a check and drops it, then runs ``prepare_window`` on only the windows
@@ -302,18 +319,35 @@ def train(config: ModelConfig, data, steps: int, seed: int,
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
+        log_path = out_dir / "loss_log.jsonl"
+        kept = _log_lines_through(log_path, start) if start else []
         out_dir.mkdir(parents=True, exist_ok=True)
+        log_path.write_text("".join(kept), encoding="utf-8")
     log_lines = []
 
     def checkpoint(tag):
         if out_dir is None:
             return
-        if log_stream is not None:
-            log_stream.flush()  # a run killed after this checkpoint keeps its lines
         extra = opt_g.export_buffers("opt_g")
         if adversarial:
             extra |= opt_d.export_buffers("opt_d")
         mdl.save_checkpoint(out_dir / f"ckpt_{tag}.mck", state, extra)
+
+    def update(loss: Tensor, params: dict, opt: OptimState, player: str) -> float:
+        """Backward ``loss`` and AdamW-step ``player``'s ``params`` with their
+        clipped gradients; every parameter's ``.grad`` is dropped. A
+        non-finite loss writes ``ckpt_abort`` and raises TrainingError."""
+        value = float(loss.numpy())
+        if not np.isfinite(value):
+            checkpoint("abort")
+            raise TrainingError(f"non-finite {player} loss at step {step}")
+        tc.backward(loss)
+        grads = _clip_grads({n: p.grad for n, p in params.items() if p.grad is not None},
+                            tcfg.grad_clip)
+        for p in (gen_params | disc_params).values():
+            p.grad = None  # from here on the gradients live in ``grads`` alone
+        adamw_step(params, grads, opt, tcfg)
+        return value
 
     while state.step < steps:
         step = state.step + 1
@@ -337,29 +371,15 @@ def train(config: ModelConfig, data, steps: int, seed: int,
             total = ls.total_generator_loss(perc, l1, vq, adv_g,
                                             config.alpha_perceptual,
                                             config.beta_l1, lam)
-            total_val = float(total.numpy())
-            if not np.isfinite(total_val):
-                checkpoint("abort")
-                raise TrainingError(f"non-finite generator loss at step {step}")
-            tc.backward(total)
-        for p in disc_params.values():
-            p.grad = None  # generator pass must not update the discriminator
-        adamw_step(gen_params, _clip_grads(_collect_grads(gen_params), tcfg.grad_clip),
-                   opt_g, tcfg)
+            total_val = update(total, gen_params, opt_g, "generator")
 
         d_val = 0.0
         if adv_active:
             with Tape():
                 d_real = mdl.discriminator_forward(state, Tensor(x))
                 d_fake = mdl.discriminator_forward(state, Tensor(xhat.data))
-                d_loss = ls.hinge_d_loss(d_real, d_fake)
-                d_val = float(d_loss.numpy())
-                if not np.isfinite(d_val):
-                    checkpoint("abort")
-                    raise TrainingError(f"non-finite discriminator loss at step {step}")
-                tc.backward(d_loss)
-            adamw_step(disc_params, _clip_grads(_collect_grads(disc_params), tcfg.grad_clip),
-                       opt_d, tcfg)
+                d_val = update(ls.hinge_d_loss(d_real, d_fake), disc_params, opt_d,
+                               "discriminator")
 
         if tcfg.reinit_dead_every and step % tcfg.reinit_dead_every == 0:
             qz.reinit_dead_entries(state.codebook, stream_rng(seed, f"reinit.{step}"))
@@ -371,6 +391,9 @@ def train(config: ModelConfig, data, steps: int, seed: int,
                            "g": float(adv_g.numpy()) if adv_g is not None else 0.0,
                            "d": d_val, "total": total_val}, separators=(",", ":"))
         log_lines.append(line)
+        if out_dir is not None:
+            with open(log_path, "a", encoding="utf-8") as f:
+                f.write(line + "\n")
         if log_stream is not None:
             log_stream.write(line + "\n")
         if tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0:

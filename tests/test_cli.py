@@ -140,6 +140,45 @@ class TestTrain:
         assert [json.loads(line)["step"] for line in whole.splitlines()] == list(range(1, 9))
         assert (cut / "loss_log.jsonl").read_bytes() == whole
 
+    def train_every3(self, workspace, tmp_path, out, steps, *resume):
+        """``train`` checkpointing every 3 steps on the workspace data -> exit code."""
+        cfg = tmp_path / "every3.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(TINY_CONFIG["trainer"],
+                                                                  checkpoint_every=3))))
+        return cli.main(["train", "--config", str(cfg), "--data", str(workspace["keypoints"]),
+                         "--steps", str(steps), "--seed", "3", *resume, "--out", str(out)])
+
+    def test_resume_malformed_log_code(self, workspace, tmp_path, capsys):
+        # A 6-step run whose log's second line is garbled, resumed from its
+        # step-3 checkpoint: exit 5 names the line, and nothing is written.
+        run = tmp_path / "run"
+        assert self.train_every3(workspace, tmp_path, run, 6) == 0
+        log = run / "loss_log.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"step": 2, "l1":\n'
+        log.write_bytes(b"".join(lines))
+        garbled, final = log.read_bytes(), (run / "ckpt_final.mck").read_bytes()
+        assert self.train_every3(workspace, tmp_path, run, 6,
+                                 "--resume", str(run / "ckpt_0000003.mck")) == 5
+        err = capsys.readouterr().err
+        assert f"{log}:2: malformed loss log line" in err and "Traceback" not in err
+        assert log.read_bytes() == garbled
+        assert (run / "ckpt_final.mck").read_bytes() == final
+
+    def test_resume_drops_cut_short_log_line(self, workspace, tmp_path):
+        # A run killed while writing step 4's line, after its step-3
+        # checkpoint: the resume drops the half line, and the log reads as
+        # the uninterrupted run's.
+        assert self.train_every3(workspace, tmp_path, tmp_path / "whole", 6) == 0
+        cut = tmp_path / "cut"
+        assert self.train_every3(workspace, tmp_path, cut, 4) == 0
+        log = cut / "loss_log.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:3]) + lines[3][:len(lines[3]) // 2])
+        assert self.train_every3(workspace, tmp_path, cut, 6,
+                                 "--resume", str(cut / "ckpt_0000003.mck")) == 0
+        assert log.read_bytes() == (tmp_path / "whole" / "loss_log.jsonl").read_bytes()
+
     def test_checkpoint_written_after_its_log_lines(self, workspace, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(TINY_CONFIG["trainer"],
@@ -300,6 +339,7 @@ class TestTrain:
         assert "Traceback" not in capsys.readouterr().err
         assert not list(run.glob("*.mck"))
         assert not (run / "loss_log.jsonl").exists()
+        assert not run.exists()
 
     def test_resume_past_steps_code(self, workspace, tmp_path, capsys):
         # A 2-step run, resumed from its step-2 checkpoint with --steps 1:

@@ -305,6 +305,23 @@ class TestTrainLoop:
                               resumed.state.codebook.entries.data)
         assert full.log_lines[3:] == resumed.log_lines
 
+    def test_out_dir_holds_the_loss_log(self, tmp_path):
+        # train writes out_dir/loss_log.jsonl itself; a resume into the same
+        # out_dir from a checkpoint before the run stopped leaves the
+        # uninterrupted run's log.
+        cfg = tiny_config(lambda_adv=0.1)
+        tcfg = fast_tcfg(warmup_steps=2, checkpoint_every=2)
+        data = tiny_windows(cfg)
+        full = tr.train(cfg, data, steps=5, seed=9, tcfg=tcfg, out_dir=tmp_path / "full")
+        whole = (tmp_path / "full" / "loss_log.jsonl").read_bytes()
+        assert whole == "".join(line + "\n" for line in full.log_lines).encode("utf-8")
+        cut = tmp_path / "cut"
+        tr.train(cfg, data, steps=3, seed=9, tcfg=tcfg, out_dir=cut)
+        state, extra = mdl.load_checkpoint(cut / "ckpt_0000002.mck")
+        tr.train(cfg, data, steps=5, seed=9, tcfg=tcfg, state=state, opt_buffers=extra,
+                 out_dir=cut)
+        assert (cut / "loss_log.jsonl").read_bytes() == whole
+
     def test_dead_entry_reseed(self):
         cfg = tiny_config()
         data = tiny_windows(cfg)
