@@ -15,6 +15,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import heatmap as hm
 from . import metrics as mx
@@ -57,7 +59,7 @@ def load_config(path) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a config must be a JSON object")
@@ -76,11 +78,14 @@ def load_config(path) -> tuple:
 def _load_items(path, config: mdl.ModelConfig, stride: int) -> list:
     """Keypoints (.jsonl) -> keypoint windows; heatmap tensor (.mht) -> [volume].
 
-    The items are unrendered; ``tr.prepare_windows`` turns them into model input.
+    The items are unrendered; ``tr.prepare_window`` turns each into model input.
     """
     p = Path(path)
     if p.suffix == ".mht":
-        return [tc.load_tensor(p)]  # frame-major [F,C,H,W]
+        vol = tc.load_tensor(p)  # frame-major [F,C,H,W]
+        if not np.isfinite(vol).all():
+            raise DataError(f"{path}: heatmap values must be finite")
+        return [vol]
     length = config.input_extents[0]
     windows = hm.window(hm.load_keypoints(p), length, stride)
     if not windows:
@@ -132,12 +137,12 @@ def cmd_tokenize(args) -> int:
     started = time.time()
     state, _ = mdl.load_checkpoint(args.ckpt)
     config = state.config
-    windows = tr.prepare_windows(config, _load_items(args.data, config, args.stride))
+    items = _load_items(args.data, config, args.stride)
     out = Path(args.out)
     outputs = []
-    for i, win in enumerate(windows):
-        _, grid, _ = mdl.encode(state, win[None])
-        dest = out if len(windows) == 1 else \
+    for i, item in enumerate(items):
+        _, grid, _ = mdl.encode(state, tr.prepare_window(config, item)[None])
+        dest = out if len(items) == 1 else \
             out.with_name(f"{out.stem}_{i:04d}{out.suffix}")
         qz.save_tokens(dest, grid)
         outputs.append(dest)
@@ -166,9 +171,9 @@ def cmd_detokenize(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     state, _ = mdl.load_checkpoint(args.ckpt)
-    windows = tr.prepare_windows(state.config,
-                                 _load_items(args.data, state.config, args.stride))
-    report = mx.evaluate(state, windows, model_tag=args.tag)
+    items = _load_items(args.data, state.config, args.stride)
+    report = mx.evaluate(state, (tr.prepare_window(state.config, it) for it in items),
+                         model_tag=args.tag)
     out = Path(args.out)
     mx.write_report_csv(out, [report])
     json_out = out.with_suffix(".json")

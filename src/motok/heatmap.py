@@ -159,17 +159,17 @@ def load_keypoints(path) -> KeypointSequence:
             if not line:
                 continue
             where = f"{path}:{lineno}"
-            try:
+            try:  # bad UTF-8 or JSON, too deep, too long an int
                 rec = json.loads(line.decode("utf-8"))
-                if not isinstance(rec, dict):
-                    raise DataError(f"{where}: keypoint record is not a JSON object")
-                kp, ok = rec["kp"], rec["valid"]
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{where}: malformed keypoint record: {exc}") from exc
+            if not (isinstance(rec, dict) and "kp" in rec and "valid" in rec):
+                raise DataError(f'{where}: a keypoint record must be a JSON object with "kp" '
+                                'and "valid"')
             try:
-                kp = np.asarray(kp, dtype=np.float64)
-                ok = np.asarray(ok, dtype=bool)
-            except (TypeError, ValueError) as exc:
+                kp = np.asarray(rec["kp"], dtype=np.float64)
+                ok = np.asarray(rec["valid"], dtype=bool)
+            except (TypeError, ValueError, OverflowError) as exc:  # incl. an int past f64
                 raise DataError(f"{where}: keypoints must be lists of numbers: {exc}") from exc
             if kp.ndim != 2:
                 raise DataError(f'{where}: "kp" must be a list of joints, got shape {kp.shape}')

@@ -167,22 +167,21 @@ REPORT_COLUMNS = ["model", "compression", "vocab", "ssim", "psnr", "l1", "tstd",
 def evaluate(state, windows, model_tag: str = "VQ-GAN") -> MetricsReport:
     """Reconstruct every window through encode/decode and average the metrics.
 
-    ``windows`` are the [C,T,H,W] arrays ``trainer.prepare_windows`` returns.
-    Each one is encoded by ``model.encode`` and decoded from its token grid by
-    ``model.decode``, so the scores are those of the volume ``detokenize``
-    writes. Q-loss is averaged over windows like the other metrics.
+    ``windows`` yields the [C,T,H,W] arrays ``trainer.prepare_window`` returns,
+    read one at a time. Each is encoded by ``model.encode`` and decoded from its
+    token grid by ``model.decode``, so the scores are those of the volume
+    ``detokenize`` writes. Q-loss is averaged over windows like the other metrics.
     """
-    windows = list(windows)
-    if not windows:
-        raise ArgumentError("evaluate requires a non-empty dataset")
-    sums = np.zeros(5)
-    for win in windows:
+    sums, n = np.zeros(5), 0
+    for n, win in enumerate(windows, 1):
         z_e, grid, _ = mdl.encode(state, win[None])
         x = np.moveaxis(win, 0, 1)  # [T,C,H,W], as decode returns
         xhat = mdl.decode(state, grid)
         sums += [ssim(x, xhat), psnr(x, xhat), l1(x, xhat), tstd(xhat),
                  qloss(z_e.data, grid.indices, state.codebook.entries.data)]
-    means = sums / len(windows)
+    if not n:
+        raise ArgumentError("evaluate requires a non-empty dataset")
+    means = sums / n
     cfg = state.config
     return MetricsReport(model_tag, cfg.compression, cfg.vocab, *means)
 

@@ -365,7 +365,7 @@ def load_checkpoint(path):
     raw, = tc.unpack_at(blob, f"<{hlen}s", 8, path)
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise DataError(f"corrupt checkpoint header in {path}") from exc
     if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
         raise DataError(f"checkpoint header in {path} must be an object with keys "
@@ -392,10 +392,11 @@ def load_checkpoint(path):
         unknown = sorted(buffers.keys() - layout.keys())
         raise DataError(f"checkpoint {path} does not match its config: "
                         f"missing {missing}, unknown {unknown}")
-    for name, extents in layout.items():
-        if buffers[name][1] != extents:
-            raise DataError(f"checkpoint {path}: buffer {name} has extents "
-                            f"{buffers[name][1]}, config expects {extents}")
+    for name, extents in layout.items():  # the dtypes save_checkpoint writes
+        dtype = _NP_TAGS["i64" if name == "codebook.usage" else "f32"]
+        if buffers[name][:2] != (dtype, extents):
+            raise DataError(f"checkpoint {path}: buffer {name} holds {buffers[name][0]} "
+                            f"{buffers[name][1]}, config expects {dtype} {extents}")
 
     def read(meta) -> np.ndarray:
         dtype, extents, offset = meta

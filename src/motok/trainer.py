@@ -74,8 +74,6 @@ def adamw_step(params: dict, grads: dict, opt: OptimState, tcfg: TrainerConfig) 
         g = grads.get(name)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in opt.m:
             opt.m[name] = np.zeros_like(p.data, dtype=np.float32)
             opt.v[name] = np.zeros_like(p.data, dtype=np.float32)
@@ -229,19 +227,6 @@ def prepare_windows(config: ModelConfig, data) -> list:
     return [prepare_window(config, item) for item in data]
 
 
-def _clip_grads(grads: dict, clip: float) -> dict:
-    if clip <= 0:
-        return grads
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
-    norm = np.sqrt(total)
-    if norm <= clip:
-        return grads
-    scale = np.float32(clip / norm)
-    return {k: g * scale for k, g in grads.items()}
-
-
 def _log_lines_through(log_path: Path, step: int) -> list:
     """The lines of an earlier run's loss log up to and including ``step``.
 
@@ -259,7 +244,7 @@ def _log_lines_through(log_path: Path, step: int) -> list:
             try:
                 if json.loads(line)["step"] > step:
                     break
-            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (ValueError, RecursionError, TypeError, KeyError) as exc:
                 raise DataError(f"{log_path}:{lineno}: malformed loss log line: {exc}") from exc
             kept.append(line.decode("utf-8"))
     return kept
@@ -334,18 +319,21 @@ def train(config: ModelConfig, data, steps: int, seed: int,
         mdl.save_checkpoint(out_dir / f"ckpt_{tag}.mck", state, extra)
 
     def update(loss: Tensor, params: dict, opt: OptimState, player: str) -> float:
-        """Backward ``loss`` and AdamW-step ``player``'s ``params`` with their
-        clipped gradients; every parameter's ``.grad`` is dropped. A
-        non-finite loss writes ``ckpt_abort`` and raises TrainingError."""
+        """Backward ``loss`` and AdamW-step ``player``'s ``params``, their
+        gradients scaled down to global norm ``grad_clip`` when above it; every
+        parameter's ``.grad`` is dropped. A non-finite loss or gradient norm
+        writes ``ckpt_abort`` and raises TrainingError before anything moves."""
         value = float(loss.numpy())
-        if not np.isfinite(value):
-            checkpoint("abort")
-            raise TrainingError(f"non-finite {player} loss at step {step}")
         tc.backward(loss)
-        grads = _clip_grads({n: p.grad for n, p in params.items() if p.grad is not None},
-                            tcfg.grad_clip)
+        grads = {n: p.grad for n, p in params.items() if p.grad is not None}
         for p in (gen_params | disc_params).values():
             p.grad = None  # from here on the gradients live in ``grads`` alone
+        norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+        if not (math.isfinite(value) and math.isfinite(norm)):
+            checkpoint("abort")
+            raise TrainingError(f"non-finite {player} loss or gradient at step {step}")
+        if 0 < tcfg.grad_clip < norm:
+            grads = {n: g * np.float32(tcfg.grad_clip / norm) for n, g in grads.items()}
         adamw_step(params, grads, opt, tcfg)
         return value
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -638,6 +639,87 @@ class TestEval:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["command"] == "eval"
         assert str(workspace["ckpt"]) in manifest["inputs"]
+
+
+# JSON the parser gives up on: nesting past the recursion limit
+# (RecursionError) and an integer of more than 4,300 digits (ValueError).
+PAST_JSON_LIMITS = {"deep": "[" * 100_000, "long-int": "1" * 5000}
+
+
+class TestJsonPastParserLimits:
+    """Each JSON input exits with its own code, without a traceback, when the
+    parser gives up on it."""
+
+    @pytest.mark.parametrize("case", sorted(PAST_JSON_LIMITS))
+    def test_config_code(self, workspace, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(PAST_JSON_LIMITS[case])
+        assert cli.main(["train", "--config", str(bad), "--data", str(workspace["keypoints"]),
+                         "--steps", "1", "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # and a coordinate past the float range, which NumPy cannot convert
+    KEYPOINTS = PAST_JSON_LIMITS | {
+        "coordinate-past-float": '{"kp": [[1' + "0" * 400 + ', 1]], "valid": [true]}'}
+
+    @pytest.mark.parametrize("case", sorted(KEYPOINTS))
+    def test_keypoints_code(self, workspace, tmp_path, capsys, case):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(self.KEYPOINTS[case] + "\n")
+        assert cli.main(["tokenize", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
+                         "--out", str(tmp_path / "t.mtk")]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "t.mtk").exists()
+
+    @pytest.mark.parametrize("case", sorted(PAST_JSON_LIMITS))
+    def test_checkpoint_header_code(self, workspace, tmp_path, capsys, case):
+        blob = workspace["ckpt"].read_bytes()
+        raw = PAST_JSON_LIMITS[case].encode("utf-8")
+        bad = tmp_path / "bad.mck"
+        bad.write_bytes(blob[:4] + len(raw).to_bytes(4, "little") + raw
+                        + blob[8 + int.from_bytes(blob[4:8], "little"):])
+        assert cli.main(["tokenize", "--ckpt", str(bad), "--in", str(workspace["keypoints"]),
+                         "--out", str(tmp_path / "t.mtk")]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(PAST_JSON_LIMITS))
+    def test_loss_log_code(self, workspace, tmp_path, capsys, case):
+        # The workspace's 3-step run with its log's second line replaced,
+        # resumed from its final checkpoint: nothing may be written.
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run"], run)
+        log = run / "loss_log.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[1] = PAST_JSON_LIMITS[case].encode("utf-8") + b"\n"
+        log.write_bytes(b"".join(lines))
+        garbled, final = log.read_bytes(), (run / "ckpt_final.mck").read_bytes()
+        assert cli.main(["train", "--config", str(workspace["config"]),
+                         "--data", str(workspace["keypoints"]), "--steps", "5", "--seed", "3",
+                         "--resume", str(run / "ckpt_final.mck"), "--out", str(run)]) == 5
+        err = capsys.readouterr().err
+        assert f"{log}:2: malformed loss log line" in err and "Traceback" not in err
+        assert log.read_bytes() == garbled
+        assert (run / "ckpt_final.mck").read_bytes() == final
+
+
+@pytest.mark.parametrize("command", ["tokenize", "eval", "train"])
+def test_nonfinite_heatmap_input_code(workspace, tmp_path, capsys, command):
+    # A heatmap volume with one infinite value is rejected before anything
+    # is written.
+    vol = np.zeros((8, 2, 16, 16), dtype=np.float32)  # [T,C,H,W], as detokenize writes
+    vol[3, 1, 5, 7] = np.inf
+    bad = tmp_path / "bad.mht"
+    tc.save_tensor(bad, vol)
+    ckpt, out = str(workspace["ckpt"]), str(tmp_path / "out")
+    argv = {"tokenize": ["tokenize", "--ckpt", ckpt, "--in", str(bad), "--out", out],
+            "eval": ["eval", "--ckpt", ckpt, "--data", str(bad), "--out", out],
+            "train": ["train", "--config", str(workspace["config"]), "--data", str(bad),
+                      "--steps", "1", "--out", out]}[command]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 TRIPLANE_CONFIG = {

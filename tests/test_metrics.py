@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ class TestEvaluate:
     def test_empty_dataset(self):
         with pytest.raises(ArgumentError):
             mt.evaluate(self.small_state(), [])
+
+    def test_reads_windows_one_at_a_time(self):
+        # Of 6 windows a generator yields, at most the one being scored and
+        # the one before it may be alive at once.
+        state, rng = self.small_state(), np.random.default_rng(5)
+        alive, most, made = set(), [0], []
+
+        def windows():
+            for i in range(6):
+                win = rng.uniform(size=(2, 8, 16, 16)).astype(np.float32)
+                alive.add(i)
+                weakref.finalize(win, alive.discard, i)
+                most[0] = max(most[0], len(alive))
+                made.append(i)
+                yield win
+
+        mt.evaluate(state, windows())
+        assert made == list(range(6))
+        assert most[0] <= 2
 
 
 class TestReportFiles:

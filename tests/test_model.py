@@ -294,6 +294,10 @@ BAD_HEADERS = {
     "param-unknown": lambda h: h["manifest"].update(
         {"enc.extra.w": h["manifest"]["enc.stem.b"]}),
     "entries-extents": lambda h: h["manifest"]["codebook.entries"].update(extents=[32, 4]),
+    "entries-dtype": lambda h: h["manifest"]["codebook.entries"].update(dtype="i64"),
+    "usage-dtype": lambda h: h["manifest"]["codebook.usage"].update(dtype="f32"),
+    # not the last buffer, whose f64 read would run past the file's end
+    "param-dtype": lambda h: h["manifest"]["dec.head.proj.w"].update(dtype="f64"),
     "discriminator-flag": lambda h: h.update(has_discriminator=False),
     "usage-missing": lambda h: {**h, "manifest": {
         k: v for k, v in h["manifest"].items() if k != "codebook.usage"}},

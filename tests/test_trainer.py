@@ -9,6 +9,7 @@ import pytest
 
 from motok import heatmap as hm
 from motok import model as mdl
+from motok import tensorcore as tc
 from motok import trainer as tr
 from motok.errors import ArgumentError, ConfigError, DataError, TrainingError
 from motok.model import ModelConfig
@@ -94,13 +95,6 @@ class TestAdamw:
         opt = OptimState()
         tr.adamw_step({"p": p}, {}, opt, TrainerConfig())
         assert np.array_equal(p.data, np.ones(2, dtype=np.float32))
-
-    def test_nonfinite_grad_raises(self):
-        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        with pytest.raises(TrainingError) as err:
-            tr.adamw_step({"p": p}, {"p": np.array([np.nan, 0.0])}, OptimState(),
-                          TrainerConfig())
-        assert "p" in str(err.value)
 
     def test_buffer_round_trip(self):
         rng = np.random.default_rng(1)
@@ -226,21 +220,97 @@ class TestTrainerConfig:
             TrainerConfig(**{field: value})
 
 
-class TestClipGrads:
-    def test_under_norm_untouched(self):
-        g = {"a": np.array([0.3, 0.4], dtype=np.float32)}
-        out = tr._clip_grads(g, 1.0)
-        assert out["a"] is g["a"]
+class TestUpdateGuard:
+    """Each update takes the global gradient norm once: a non-finite norm
+    aborts before anything moves, and a norm above ``grad_clip`` scales the
+    gradients ``adamw_step`` receives."""
 
-    def test_over_norm_scaled(self):
-        g = {"a": np.array([3.0, 4.0], dtype=np.float32)}
-        out = tr._clip_grads(g, 1.0)
-        norm = np.sqrt(np.sum(out["a"] ** 2))
-        assert norm == pytest.approx(1.0, rel=1e-6)
+    @staticmethod
+    def book_and_params(state):
+        return {n: p.data.copy() for n, p in state.params.items()} | {
+            "codebook.entries": state.codebook.entries.data.copy(),
+            "codebook.usage": state.codebook.usage.copy()}
 
-    def test_zero_disables(self):
-        g = {"a": np.array([30.0], dtype=np.float32)}
-        assert tr._clip_grads(g, 0.0)["a"] is g["a"]
+    # (player, its parameter to poison, which backward of step 1 makes its
+    # gradient, the lambda_adv that runs that player)
+    PLANTS = {"generator": ("enc.stem.w", 1, 0.0),
+              "discriminator": ("disc.out.w", 2, 0.1)}
+
+    @pytest.mark.parametrize("clip", [0.0, 1.0])
+    @pytest.mark.parametrize("player", sorted(PLANTS))
+    def test_nonfinite_gradient_aborts_before_the_update(self, tmp_path, monkeypatch,
+                                                         player, clip):
+        # A NaN planted in one gradient after backward leaves the loss
+        # finite; ckpt_abort must hold the state from before that update.
+        name, call, lambda_adv = self.PLANTS[player]
+        cfg = tiny_config(lambda_adv=lambda_adv)
+        state = mdl.build(cfg, seed=0)
+        calls, before = [], {}
+        backward = tc.backward
+
+        def poisoning_backward(loss):
+            backward(loss)
+            calls.append(loss)
+            if len(calls) == call:
+                before.update(self.book_and_params(state))
+                grad = state.params[name].grad.copy()
+                grad.flat[0] = np.nan
+                state.params[name].grad = grad
+
+        monkeypatch.setattr(tc, "backward", poisoning_backward)
+        with pytest.raises(TrainingError):
+            tr.train(cfg, tiny_windows(cfg), steps=1, seed=0, state=state, out_dir=tmp_path,
+                     tcfg=fast_tcfg(warmup_steps=0, grad_clip=clip))
+        assert len(calls) == call
+        saved, extra = mdl.load_checkpoint(tmp_path / "ckpt_abort.mck")
+        after = self.book_and_params(saved)
+        assert after.keys() == before.keys()
+        for k, arr in before.items():
+            assert np.array_equal(after[k], arr), k
+        assert extra["opt_g.t"][0] == call - 1
+        if lambda_adv:
+            assert extra["opt_d.t"][0] == 0
+
+    @staticmethod
+    def recorded_steps(monkeypatch, clip):
+        """Train 2 steps; per update, the gradients backward left on the
+        generator's parameters and those ``adamw_step`` received."""
+        produced, received = [], []
+        backward, adamw_step = tc.backward, tr.adamw_step
+        cfg = tiny_config()
+        state = mdl.build(cfg, seed=0)
+        params = state.params | {"codebook.entries": state.codebook.entries}
+
+        def recording_backward(loss):
+            backward(loss)
+            produced.append({n: p.grad for n, p in params.items() if p.grad is not None})
+
+        def recording_adamw(params, grads, opt, tcfg):
+            received.append(dict(grads))
+            adamw_step(params, grads, opt, tcfg)
+
+        monkeypatch.setattr(tc, "backward", recording_backward)
+        monkeypatch.setattr(tr, "adamw_step", recording_adamw)
+        tr.train(cfg, tiny_windows(cfg), steps=2, seed=0, state=state,
+                 tcfg=fast_tcfg(grad_clip=clip))
+        assert len(produced) == len(received) == 2
+        return produced, received
+
+    def test_norm_above_clip_scaled_to_it(self, monkeypatch):
+        produced, received = self.recorded_steps(monkeypatch, 1e-3)
+        for made, got in zip(produced, received):
+            assert got.keys() == made.keys()
+            norm = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in made.values()))
+            assert norm > 1e-3
+            clipped = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in got.values()))
+            assert clipped == pytest.approx(1e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("clip", [1e6, 0.0])
+    def test_norm_within_clip_or_clip_off_passes_backward_arrays(self, monkeypatch, clip):
+        produced, received = self.recorded_steps(monkeypatch, clip)
+        for made, got in zip(produced, received):
+            assert got.keys() == made.keys()
+            assert all(got[n] is g for n, g in made.items())
 
 
 class TestTrainLoop:
