@@ -2,7 +2,10 @@ import copy
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +143,37 @@ class TestTrain:
         whole = (tmp_path / "whole" / "loss_log.jsonl").read_bytes()
         assert [json.loads(line)["step"] for line in whole.splitlines()] == list(range(1, 9))
         assert (cut / "loss_log.jsonl").read_bytes() == whole
+
+    # The CI walkthrough's config and keypoints, adversarial from step 2.
+    WALKTHROUGH_ADV = {
+        "schema": 1,
+        "model": {"compression": "F8", "vocab": 128, "embed_dim": 16, "base_channels": 8,
+                  "in_channels": 4, "input_extents": [16, 32, 32], "lambda_adv": 0.1},
+        "trainer": {"lr": 0.001, "warmup_steps": 1},
+        "window_stride": 16,
+    }
+
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # A whole adversarial run, each in its own process, at 1 and 2 BLAS
+        # threads: conv3d's GEMM splits must not round with the thread count.
+        kp = tmp_path / "motion.jsonl"
+        assert cli.main(["synth", "--joints", "4", "--frames", "256", "--width", "32",
+                         "--height", "32", "--family", "walk-cycle", "--seed", "7",
+                         "--out", str(kp)]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.WALKTHROUGH_ADV))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       MKL_NUM_THREADS=n, PYTHONPATH=src)
+            env.pop("MOTOK_SEED", None)
+            proc = subprocess.run([sys.executable, "-m", "motok.cli", "train", "--config",
+                                   str(cfg), "--data", str(kp), "--steps", "4", "--seed", "7",
+                                   "--out", str(tmp_path / n)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        for name in ("loss_log.jsonl", "ckpt_final.mck"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def train_every3(self, workspace, tmp_path, out, steps, *resume):
         """``train`` checkpointing every 3 steps on the workspace data -> exit code."""
