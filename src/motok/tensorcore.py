@@ -382,7 +382,7 @@ def _triple(v, name: str) -> tuple:
     return t
 
 
-# Bytes of im2col columns built per forward GEMM. A slab this size is still in
+# Bytes of im2col columns built per GEMM. A slab this size is still in
 # cache when the GEMM reads it; the whole columns of one 8-channel 32x64x64
 # sample (about 100 MB) are not.
 _SLAB_BYTES = 4 << 20
@@ -392,33 +392,36 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
 
-    Forward and backward loop over the batch. Forward lowers each sample by
-    im2col into ``cols`` [C*kt*kh*kw, to*ho*wo], a slab of output T-planes at
-    a time, and GEMMs each slab into its columns of the output. Memory
-    contract, beyond the inputs, the output and the gradients, all in buffers
-    reused for every slab, block and sample:
+    Forward and backward loop over the batch. Forward and the weight gradient
+    share one im2col lowering: each sample into ``cols`` [C*kt*kh*kw,
+    r*ho*wo], a slab of ``rows`` output T-planes at a time. Forward GEMMs each
+    slab into its columns of the output; the weight gradient sums each slab's
+    GEMM into ``gw`` in T order within each sample, then in batch order.
+    Memory contract, beyond the inputs, the output and the gradients, all in
+    buffers reused for every slab and sample:
 
     - Forward keeps nothing for backward but its inputs, and not even ``x``
       when the node that made ``x`` offers a ``remake``: then it keeps that
-      instead. It holds one slab of ``cols`` (about ``_SLAB_BYTES``, or one
-      output plane's) and the zero-bordered input planes that slab reads.
+      instead.
+    - Each run of the lowering holds one slab of ``cols`` (about
+      ``_SLAB_BYTES``, or one output plane's) and the zero-bordered input
+      planes that slab reads, in buffers of its own.
     - Backward computes only the gradients whose inputs require one and
       returns None for the others.
-    - The weight gradient rebuilds ``cols`` from ``x`` one block of input
-      channels at a time (about ``_SLAB_BYTES``, or one channel's), from a
-      zero-bordered copy of that block's channels. A remade ``x`` lives only
-      in this branch: as one array after ``group_norm_swish``, and not at all
-      after ``upsample_nearest3d``, whose planes are repeated straight into
-      each block.
+    - The weight gradient runs the lowering again and holds ``gw`` and one
+      GEMM result of its size. A remade ``x`` lives only in this branch: as
+      one array after ``group_norm_swish``, and not at all after
+      ``upsample_nearest3d``, whose planes are copied straight into each
+      slab's zero-bordered planes.
     - The input gradient keeps no ``dcols``: it holds one tap's rows of one
       slab of output T-planes (``C`` rows, about ``_SLAB_BYTES``, or one
       plane), GEMMs each tap of the slab into them in turn, and adds each
       into one sample's padded gradient.
 
     Nothing it holds grows with the batch or with the kernel's taps. With
-    T x H x W grow only one channel's ``cols``, where they exceed
-    ``_SLAB_BYTES``, one tap's rows of one plane, and one sample's padded
-    input gradient.
+    T x H x W grow only one output plane's ``cols``, where they exceed
+    ``_SLAB_BYTES``, the input planes one slab reads, one tap's rows of one
+    plane, and one sample's padded input gradient.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
@@ -448,67 +451,62 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     w2 = weight.data.reshape(co, ck)
     plane = ho * wo
     p = to * plane
-
-    def windows(buf):  # the [C,kt,kh,kw,T',ho,wo] windows of a zero-bordered [C,T',hp,wp] buffer
-        win = np.lib.stride_tricks.sliding_window_view(buf, (kt, kh, kw), axis=(1, 2, 3))
-        return win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)
-
-    rows = min(to, max(1, _SLAB_BYTES // (ck * plane * x.data.itemsize)))
-    slab = np.empty(ck * rows * plane, dtype=x.dtype)
+    xdt = x.dtype
+    rows = min(to, max(1, _SLAB_BYTES // (ck * plane * xdt.itemsize)))
     span = (rows - 1) * st + kt
-    xs = np.zeros((c, span, hp, wp), dtype=x.dtype)  # the padded input planes of one slab
-    win = windows(xs)
+
+    def slabs(src):
+        """im2col of ``src``, [N,C,T,H,W] or upsample's [N,C,T,ft,H,fh,W,fw]
+        view, one slab of ``rows`` output T-planes at a time: yields (b, s,
+        cols), with cols [ck, len(s)] for the flat output positions s of sample
+        b. Each call makes its own buffers, so no node keeps them."""
+        if src.ndim == 5:
+            src = src[:, :, :, None]
+        ft = src.shape[3]
+        xs = np.zeros((c, span, hp, wp), dtype=xdt)  # the padded input planes of one slab
+        # xs's interior with src's plane axes: it only splits axes, so it is a view
+        inner = xs[:, :, ph:ph + h, pw:pw + w].reshape((c, span) + src.shape[4:])
+        win = np.lib.stride_tricks.sliding_window_view(xs, (kt, kh, kw), axis=(1, 2, 3))
+        win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)  # [C,kt,kh,kw,rows,ho,wo]
+        slab = np.empty(ck * rows * plane, dtype=xdt)
+        for b in range(n):
+            for t0 in range(0, to, rows):
+                r = min(rows, to - t0)
+                q0 = t0 * st - pt  # the input plane in the slab's first padded plane
+                a = min(max(0, -q0), span)
+                e = max(a, min(span, t - q0))  # planes [a, e) hold input, the rest are T border
+                xs[:, :a] = 0
+                for i in range(a, e):
+                    np.copyto(inner[:, i], src[b, :, (q0 + i) // ft, (q0 + i) % ft])
+                xs[:, e:] = 0
+                cols = slab[:ck * r * plane].reshape(ck, r * plane)
+                np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, :r])
+                yield b, slice(t0 * plane, (t0 + r) * plane), cols
+
     out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
-    for b in range(n):
-        for t0 in range(0, to, rows):
-            r = min(rows, to - t0)
-            q0 = t0 * st - pt  # the input plane in the slab's first padded plane
-            a = min(max(0, -q0), span)
-            e = max(a, min(span, t - q0))  # planes [a, e) hold input, the rest are T border
-            xs[:, :a] = 0
-            xs[:, a:e, ph:ph + h, pw:pw + w] = x.data[b, :, q0 + a:q0 + e]
-            xs[:, e:] = 0
-            cols = slab[:ck * r * plane].reshape(ck, r * plane)
-            np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, :r])
-            np.matmul(w2, cols, out=out[b, :, t0 * plane:(t0 + r) * plane])
+    for b, s, cols in slabs(x.data):
+        np.matmul(w2, cols, out=out[b, :, s])
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
         out += bias.data[None, :, None, None, None]
     remake = x.node.remake if x.node is not None else None
     xd = x.data if remake is None else None  # what backward keeps of x
-    xdt, x_grad = x.dtype, x.requires_grad
+    x_grad = x.requires_grad
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.reshape(n, co, p))
         gw = gx = gb = None
         if weight.requires_grad:
-            # Rebuilt cols, one block of input channels at a time: each block's GEMM
-            # fills its columns of the sample's gw, and the samples sum in batch
-            # order, as a batched sum(axis=0) does. The blocks are as even as c
-            # allows, since a narrow tail block's GEMM can round unlike the whole one.
-            kk = kt * kh * kw
-            nb = -(-c // max(1, _SLAB_BYTES // (kk * p * xdt.itemsize)))
-            cb = -(-c // nb)
-            src = xd if remake is None else remake()
-            xb = np.zeros((cb, tp, hp, wp), dtype=xdt)
-            # xb's interior with src's axes: it only splits axes, so it is a view
-            inner = xb[:, pt:pt + t, ph:ph + h, pw:pw + w].reshape((cb,) + src.shape[2:])
-            win = windows(xb)
-            cols = np.empty((cb * kk, p), dtype=xdt)
             gw = np.empty((co, ck), dtype=np.result_type(g2, xdt))
-            gwb = np.empty_like(gw)
-            for b in range(n):
-                gs = gwb if b else gw  # this sample's gw
-                for c0 in range(0, c, cb):
-                    m = min(cb, c - c0)
-                    np.copyto(inner[:m], src[b, c0:c0 + m])
-                    np.copyto(cols[:m * kk].reshape(m, kt, kh, kw, to, ho, wo), win[:m])
-                    np.matmul(g2[b], cols[:m * kk].T, out=gs[:, c0 * kk:(c0 + m) * kk])
-                if b:
-                    np.add(gw, gwb, out=gw)
+            part = np.empty_like(gw)
+            for b, s, cols in slabs(xd if remake is None else remake()):
+                if b or s.start:
+                    gw += np.matmul(g2[b, :, s], cols.T, out=part)
+                else:  # the first slab's GEMM starts the sum
+                    np.matmul(g2[b, :, s], cols.T, out=gw)
             gw = gw.reshape(weight.shape)
             # cols and the gx buffers both alive make malloc map fresh pages
-            del src, xb, inner, win, cols
+            del cols, part
         if x_grad:
             # col2im without dcols, one GEMM per tap. The padded gradient is held as
             # st*sh*sw stride classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits

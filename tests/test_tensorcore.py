@@ -46,19 +46,11 @@ def conv3d_reference(x, w, b, stride, padding):
     return out
 
 
-def conv3d_batched_reference(x, w, b, stride, padding, g):
-    """Whole-batch im2col convolution and its gradients for upstream ``g``.
-
-    Builds ``cols`` for every sample at once and runs batched GEMMs.
-    ``conv3d`` runs the same sums as GEMMs over slabs of columns and blocks
-    of weight-gradient columns, which BLAS may round unlike the whole GEMM:
-    the bitwise tests pin equal bytes on the shapes they list, and
-    ``tools/identity_check.py`` on its runs; the splits test bounds random
-    shapes within a dtype tolerance.
-    Returns (out, gx, gw, gb); gb is None without a bias.
-    """
+def batched_cols(x, kshape, stride, padding):
+    """im2col of every sample at once: cols [N, C*kt*kh*kw, to*ho*wo], and
+    the output extents (to, ho, wo)."""
     n, c, t, h, wd = x.shape
-    co, _, kt, kh, kw = w.shape
+    kt, kh, kw = kshape
     st, sh, sw = stride
     pt, ph, pw = padding
     xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
@@ -69,6 +61,28 @@ def conv3d_batched_reference(x, w, b, stride, padding, g):
     win = win[:, :, ::st, ::sh, ::sw]
     cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
                                 .reshape(n, c * kt * kh * kw, to * ho * wo))
+    return cols, (to, ho, wo)
+
+
+def conv3d_batched_reference(x, w, b, stride, padding, g):
+    """Whole-batch im2col convolution and its gradients for upstream ``g``.
+
+    Builds ``cols`` for every sample at once and runs batched GEMMs, the
+    weight gradient one whole GEMM per sample. ``conv3d`` runs the same sums
+    as GEMMs over slabs of output T-planes, which BLAS may round unlike the
+    whole GEMM. The forward slabs only split columns, so the bitwise tests pin
+    ``out`` equal to this on the shapes they list, and
+    ``tools/identity_check.py`` on its runs. The weight gradient's slabs also
+    split the sum itself, so where there are several its bytes are pinned to
+    ``weight_grad_slabs_reference`` instead, and to this within the splits
+    tolerance; the splits test bounds random shapes within it too.
+    Returns (out, gx, gw, gb); gb is None without a bias.
+    """
+    n, c, t, h, wd = x.shape
+    co, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    cols, (to, ho, wo) = batched_cols(x, (kt, kh, kw), stride, padding)
     w2 = w.reshape(co, -1)
     out = np.matmul(w2, cols).reshape(n, co, to, ho, wo)
     if b is not None:
@@ -76,7 +90,7 @@ def conv3d_batched_reference(x, w, b, stride, padding, g):
     g2 = np.ascontiguousarray(g.reshape(n, co, to * ho * wo))
     gw = np.matmul(g2, cols.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
     dcols = np.matmul(w2.T, g2).reshape(n, c, kt, kh, kw, to, ho, wo)
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros((n, c, t + 2 * pt, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
     for i in range(kt):
         for j in range(kh):
             for k in range(kw):
@@ -85,6 +99,33 @@ def conv3d_batched_reference(x, w, b, stride, padding, g):
     gx = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wd]
     gb = g.sum(axis=(0, 2, 3, 4)) if b is not None else None
     return out, gx, gw, gb
+
+
+def forward_rows(c, k, to, ho, wo, itemsize):
+    """The output T-planes in one of conv3d's slabs, for C input channels,
+    a k^3 kernel and [to, ho, wo] outputs."""
+    return min(to, max(1, tc._SLAB_BYTES // (c * k ** 3 * ho * wo * itemsize)))
+
+
+def rel_err(a, e):
+    """max|a - e| / max|e|."""
+    return np.max(np.abs(a - e)) / np.max(np.abs(e))
+
+
+def weight_grad_slabs_reference(x, w, stride, padding, g, rows):
+    """The weight gradient for upstream ``g`` from the batched ``cols``, summed
+    as conv3d sums it: one GEMM per slab of ``rows`` output T-planes, in T
+    order within each sample, then in batch order."""
+    cols, (to, ho, wo) = batched_cols(x, w.shape[2:], stride, padding)
+    n, co = g.shape[:2]
+    g2 = g.reshape(n, co, -1)
+    gw = None
+    for b in range(n):
+        for t0 in range(0, to, rows):
+            s = slice(t0 * ho * wo, min(to, t0 + rows) * ho * wo)
+            part = g2[b, :, s] @ cols[b, :, s].T
+            gw = part if gw is None else gw + part
+    return gw.reshape(w.shape)
 
 
 # (kernel, stride, padding) of the model's three conv classes.
@@ -243,8 +284,8 @@ class TestConv3d:
         shape = self.SLAB_SHAPES[conv]
         c = shape[1]
         to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
-        rows = tc._SLAB_BYTES // (c * k ** 3 * ho * wo * 4)
-        assert 1 <= rows < to and to % rows, "the shape must span several slabs, the last partial"
+        rows = forward_rows(c, k, to, ho, wo, 4)
+        assert rows < to and to % rows, "the shape must span several slabs, the last partial"
         rng = np.random.default_rng(12)
         xv = rng.normal(size=shape).astype(np.float32)
         wv = rng.normal(size=(5, c, k, k, k)).astype(np.float32)
@@ -259,11 +300,20 @@ class TestConv3d:
                 backward(tc.tsum(tc.mul(out, Tensor(g))))
         else:
             out = tc.conv3d(x, w, b, stride=s, padding=pad)
-        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        want, whole_gw = self.references(xv, wv, bv, (s,) * 3, (pad,) * 3, g, rows)
         got = (out.data, x.grad, w.grad, b.grad) if trainable else (out.data,)
         for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
+        if trainable:
+            assert rel_err(w.grad, whole_gw) <= self.SPLIT_RTOL[np.float32]
+
+    def references(self, xv, wv, bv, s, pad, g, rows):
+        """conv3d_batched_reference's (out, gx, gw, gb) with gw summed over
+        slabs of ``rows`` output planes, as conv3d sums it, and the whole
+        GEMM's gw."""
+        out, gx, whole_gw, gb = conv3d_batched_reference(xv, wv, bv, s, pad, g)
+        return (out, gx, weight_grad_slabs_reference(xv, wv, s, pad, g, rows), gb), whole_gw
 
     # The input gradient's slabs hold one tap's C rows of c * hb * wb values a
     # plane, so SLAB_SHAPES' input gradients fit one slab. A slab of two planes
@@ -293,29 +343,20 @@ class TestConv3d:
         assert x.grad.dtype == want.dtype
         assert np.array_equal(x.grad, want)
 
-    # (conv, [N,C,T,H,W]) whose weight gradient spans several input-channel
-    # blocks: the smoke model's full-resolution k3s1 convs (8 and 16 channels,
-    # blocks of 2), and 19 channels at k3s2 and at half-resolution k3s1, whose
-    # blocks of 10 and 9 leave the last one partial.
-    BLOCK_SHAPES = [("k3s1", (2, 8, 16, 32, 32)), ("k3s1", (2, 16, 16, 32, 32)),
-                    ("k3s2", (2, 19, 16, 32, 32)), ("k3s1", (2, 19, 8, 16, 16))]
+    # (conv, [N,C,T,H,W]) whose weight gradient spans several forward slabs:
+    # the smoke model's full-resolution k3s1 convs (8 and 16 channels, slabs
+    # of 4 and 2 planes), and 19 channels at k3s2 and at half-resolution
+    # k3s1, whose slabs of 7 planes leave the last one partial.
+    WEIGHT_GRAD_SHAPES = [("k3s1", (2, 8, 16, 32, 32)), ("k3s1", (2, 16, 16, 32, 32)),
+                          ("k3s2", (2, 19, 16, 32, 32)), ("k3s1", (2, 19, 8, 16, 16))]
 
-    @staticmethod
-    def weight_grad_blocks(c, k, p, itemsize=4):
-        """The input-channel blocks conv3d's weight gradient runs for [C, ...]
-        inputs whose outputs have ``p`` voxels."""
-        per = k ** 3 * p * itemsize
-        nb = -(-c // max(1, tc._SLAB_BYTES // per))
-        cb = -(-c // nb)
-        return [min(cb, c - c0) for c0 in range(0, c, cb)]
-
-    @pytest.mark.parametrize("conv,shape", BLOCK_SHAPES)
-    def test_weight_grad_blocks_match_batched_reference_bitwise(self, conv, shape):
+    @pytest.mark.parametrize("conv,shape", WEIGHT_GRAD_SHAPES)
+    def test_weight_grad_slabs_match_slab_reference_bitwise(self, conv, shape):
         k, s, pad = CONV_CLASSES[conv]
         c = shape[1]
         to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
-        blocks = self.weight_grad_blocks(c, k, to * ho * wo)
-        assert len(blocks) > 1, "the weight gradient must span several blocks"
+        rows = forward_rows(c, k, to, ho, wo, 4)
+        assert rows < to, "the weight gradient must span several slabs"
         rng = np.random.default_rng(14)
         xv = rng.normal(size=shape).astype(np.float32)
         wv = rng.normal(size=(c, c, k, k, k)).astype(np.float32)
@@ -325,10 +366,11 @@ class TestConv3d:
         with Tape():
             out = tc.conv3d(x, w, b, stride=s, padding=pad)
             backward(tc.tsum(tc.mul(out, Tensor(g))))
-        want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
+        want, whole_gw = self.references(xv, wv, bv, (s,) * 3, (pad,) * 3, g, rows)
         for name, a, e in zip(("out", "gx", "gw", "gb"), (out.data, x.grad, w.grad, b.grad), want):
             assert a.dtype == e.dtype, name
             assert np.array_equal(a, e), name
+        assert rel_err(w.grad, whole_gw) <= self.SPLIT_RTOL[np.float32]
 
     # Tolerances on max|got - want| / max|want|, from each dtype's epsilon
     # (about 1.2e-7 and 2.2e-16) times a few hundred.
@@ -336,11 +378,11 @@ class TestConv3d:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_random_splits_match_batched_reference(self, dtype):
-        # Seeded random shapes whose forward slabs or weight-gradient blocks
-        # are several, and the 19-channel k3s2 case. A
-        # slab or block GEMM is a column subset of the whole one, but BLAS may
-        # round a narrow one differently, so only the bitwise tests above pin
-        # exact bytes; these shapes must agree within the dtype's tolerance.
+        # Seeded random shapes whose forward slabs are several, and the
+        # 19-channel k3s2 case. A forward slab's GEMM is a column subset of the
+        # whole one and a weight-gradient slab's a part of its sum, and BLAS
+        # may round a narrow one differently, so only the bitwise tests above
+        # pin exact bytes; these shapes must agree within the dtype's tolerance.
         rng = np.random.default_rng(15)
         cases = [("k3s2", (2, 19, 16, 32, 32))]
         while len(cases) < 7:
@@ -349,10 +391,9 @@ class TestConv3d:
             shape = (int(rng.integers(1, 3)), int(rng.integers(2, 21)),
                      *(int(v) for v in rng.integers([6, 12, 12], [24, 72, 72]) * s))
             to, ho, wo = ((e + 2 * pad - k) // s + 1 for e in shape[2:])
-            ck, size = shape[1] * k ** 3, np.dtype(dtype).itemsize
-            fwd_rows = tc._SLAB_BYTES // (ck * ho * wo * size)
-            blocks = self.weight_grad_blocks(shape[1], k, to * ho * wo, size)
-            if (fwd_rows < to or len(blocks) > 1) and ck * to * ho * wo < 2 ** 22:
+            ck = shape[1] * k ** 3
+            if forward_rows(shape[1], k, to, ho, wo, np.dtype(dtype).itemsize) < to \
+                    and ck * to * ho * wo < 2 ** 22:
                 cases.append((conv, shape))
         for conv, shape in cases:
             k, s, pad = CONV_CLASSES[conv]
@@ -368,7 +409,7 @@ class TestConv3d:
             want = conv3d_batched_reference(xv, wv, bv, (s,) * 3, (pad,) * 3, g)
             for name, a, e in zip(("out", "gx", "gw", "gb"), (out.data, x.grad, w.grad, b.grad), want):
                 assert a.dtype == e.dtype and a.shape == e.shape, (conv, shape, name)
-                err = np.max(np.abs(a - e)) / np.max(np.abs(e))
+                err = rel_err(a, e)
                 assert err <= self.SPLIT_RTOL[dtype], (conv, shape, name, err)
 
     def test_forward_keeps_less_than_one_window_of_cols(self):
@@ -435,6 +476,27 @@ class TestConv3d:
             tracemalloc.stop()
         assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (8,)
         assert peak < window_cols
+
+    def test_weight_grad_holds_one_slab_of_cols(self):
+        # One channel's columns here (27 taps of 16x64x64 outputs, 6.75 MiB)
+        # exceed a slab. A weight-gradient-only backward holds one slab of
+        # cols, the padded input planes that slab reads, gw and the GEMM's
+        # temporary for it, and 64 KiB of small objects.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        n, c, t, h, w = 1, 4, 16, 64, 64
+        x = Tensor(rng.normal(size=(n, c, t, h, w)).astype(np.float32))
+        wt = Tensor(rng.normal(size=(4, c, k, k, k)).astype(np.float32), requires_grad=True)
+        assert k ** 3 * t * h * w * 4 > tc._SLAB_BYTES
+        with Tape() as tape:
+            out = tc.conv3d(x, wt, stride=s, padding=pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        rows = forward_rows(c, k, t, h, w, 4)
+        slab = c * k ** 3 * rows * h * w * 4
+        padded = c * (rows + k - 1) * (h + 2) * (w + 2) * 4
+        (gx, gw, _), _, peak = traced(lambda: tape.nodes[-1].backward_fn(g))
+        assert gx is None and gw.shape == wt.shape
+        assert peak <= slab + padded + 2 * gw.nbytes + (64 << 10)
 
     def test_input_grad_holds_less_than_one_window_of_dcols(self):
         # Backward's peak for the input gradient of a k3s1 conv must stay under
@@ -861,8 +923,8 @@ class TestTape:
         assert x.grad is not None and w.grad is not None
 
     # group_norm_swish -> conv3d -> upsample_nearest3d -> conv3d, the
-    # decoder's pattern. Five channels make the upsampled conv's weight
-    # gradient run blocks of 2, 2 and 1 channels.
+    # decoder's pattern. Five channels make the upsampled conv's slabs, for
+    # forward and the weight gradient alike, 7, 7 and 2 output planes.
     CHAIN = (2, 5, 8, 16, 16)
 
     def chain(self, dtype, factor=2, materialise=False):

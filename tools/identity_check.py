@@ -26,8 +26,10 @@ Then it compares the SHA-256 of every artifact the jobs write: the keypoints,
 ``.csv``/``.json`` (not the manifests, which hold wall-clock times). It names
 every file that differs or exists on one side only and exits 1 if any does,
 0 if all are identical, and 2 if a job fails. For a differing eval ``.csv``
-it also prints the largest absolute difference in each column. The outputs
-stay in ``.bench_build/identity/{base,change}`` until the next check.
+it also prints the largest absolute difference in each column, and for a
+differing ``loss_log.jsonl`` the largest relative difference of each key.
+The outputs stay in ``.bench_build/identity/{base,change}`` until the next
+check.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -133,6 +136,21 @@ def column_diffs(base: Path, change: Path) -> str:
     return ", ".join(parts)
 
 
+def log_diffs(base: Path, change: Path) -> str:
+    """The largest relative difference, |change - base| / |base| over the
+    lines, of each key of two loss logs (inf where only the base reads 0)."""
+    b, c = ([json.loads(line) for line in p.read_text(encoding="utf-8").splitlines()]
+            for p in (base, change))
+    if len(b) != len(c) or not b or any(lb.keys() != lc.keys() for lb, lc in zip(b, c)):
+        return "line count or keys differ"
+    parts = []
+    for key in b[0]:
+        rel = max(abs(lc[key] - lb[key]) / abs(lb[key]) if lb[key] else
+                  0.0 if lc[key] == 0 else math.inf for lb, lc in zip(b, c))
+        parts.append(f"{key} {rel:.3g}")
+    return ", ".join(parts)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -155,6 +173,9 @@ def main() -> int:
         if where == "differs" and p.endswith(".csv"):
             print(f"  largest |change - base| by column: "
                   f"{column_diffs(OUT / 'base' / p, OUT / 'change' / p)}")
+        if where == "differs" and p.endswith("loss_log.jsonl"):
+            print(f"  largest |change - base| / |base| by key: "
+                  f"{log_diffs(OUT / 'base' / p, OUT / 'change' / p)}")
     print(f"{len(base.keys() | change.keys()) - len(differ)} of "
           f"{len(base.keys() | change.keys())} artifacts identical to {args.base} "
           f"({base_commit[:12]}); outputs in {OUT.relative_to(ROOT)}")
