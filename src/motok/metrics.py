@@ -1,7 +1,9 @@
 """Reconstruction quality suite: SSIM, PSNR, L1, T-Std, Q-Loss.
 
 All metrics (``ssim``, ``psnr``, ``l1``, ``tstd``, ``qloss``) are
-deterministic pure functions over numpy arrays. ``evaluate`` runs a model over
+deterministic pure functions over numpy arrays; ``ssim``, ``psnr``, ``l1``
+and ``tstd`` read a view, such as the ``moveaxis`` views ``evaluate`` scores,
+with the same result bytes as a contiguous copy of it. ``evaluate`` runs a model over
 a dataset of heatmap windows and assembles one report row (the same column set
 as the quantitative comparison table: model, compression, vocab, ssim, psnr,
 l1, tstd, qloss).
@@ -49,14 +51,15 @@ def ssim(x, y) -> float:
     x², y² and xy, stacked together, are filtered with its normalised 1-D
     taps along W, then along H. ``einsum`` does the filtering rather than
     ``@``, which hands some strides to BLAS, so the result does not depend
-    on the BLAS library or its thread count. The ``reshape(-1, H, W)``
-    images go through ``SSIM_GROUP`` at a time, each group converted to f64
-    as it is taken, and the SSIM-map sums are added up across groups.
+    on the BLAS library or its thread count. The images, in
+    ``reshape(-1, H, W)`` order, go through ``SSIM_GROUP`` at a time, each
+    group taken straight from the input (a view or not) into a C-ordered f64
+    array, and the SSIM-map sums are added up across groups.
 
-    Memory: beyond its inputs (and a copy of an input that ``reshape``
-    cannot view), a call holds one group's maps, so its peak does not grow
-    with the number of images: ``tests/test_metrics.py`` checks that 4× the
-    images raise the tracemalloc peak by at most 1.25×.
+    Memory: beyond its inputs, a call holds one group's maps, so its peak
+    does not grow with the number of images, nor copies a non-contiguous
+    input: ``tests/test_metrics.py`` checks that 4× the images raise the
+    tracemalloc peak by at most 1.25×, and a transposed view's peak.
     """
     xv = np.asarray(x)
     yv = np.asarray(y)
@@ -65,13 +68,15 @@ def ssim(x, y) -> float:
     h, w = xv.shape[-2:]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ArgumentError(f"spatial extents {h}x{w} smaller than SSIM window")
-    xi = xv.reshape(-1, h, w)
-    yi = yv.reshape(-1, h, w)
+    lead = xv.shape[:-2] or (1,)
+    xv, yv = xv.reshape(lead + (h, w)), yv.reshape(lead + (h, w))  # views: no axis merges
+    count = int(np.prod(lead))
     g = _ssim_taps()
     total = 0.0
-    for i in range(0, len(xi), SSIM_GROUP):
-        a = xi[i:i + SSIM_GROUP].astype(np.float64)
-        b = yi[i:i + SSIM_GROUP].astype(np.float64)
+    for i in range(0, count, SSIM_GROUP):
+        images = np.unravel_index(np.arange(i, min(i + SSIM_GROUP, count)), lead)
+        a = xv[images].astype(np.float64, order="C")
+        b = yv[images].astype(np.float64, order="C")
         maps = np.stack([a, b, a * a, b * b, a * b])
         for axis in (3, 2):  # W, then H
             maps = np.einsum("...k,k->...", sliding_window_view(maps, SSIM_WINDOW, axis=axis), g)
@@ -82,13 +87,13 @@ def ssim(x, y) -> float:
         num = (2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)
         den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
         total += float(np.sum(num / den))
-    return total / (len(xi) * (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1))
+    return total / (count * (h - SSIM_WINDOW + 1) * (w - SSIM_WINDOW + 1))
 
 
 def psnr(x, y, max_val: float = 1.0) -> float:
     """10 log10(max^2 / MSE) in dB; identical inputs return the 100 dB cap."""
-    xv = np.asarray(x).astype(np.float64)
-    yv = np.asarray(y).astype(np.float64)
+    xv = np.asarray(x).astype(np.float64, order="C")
+    yv = np.asarray(y).astype(np.float64, order="C")
     if xv.shape != yv.shape:
         raise ShapeError(f"psnr extent mismatch: {xv.shape} vs {yv.shape}")
     if max_val <= 0:
@@ -101,8 +106,8 @@ def psnr(x, y, max_val: float = 1.0) -> float:
 
 def l1(x, y) -> float:
     """Mean absolute pixel-wise error."""
-    xv = np.asarray(x).astype(np.float64)
-    yv = np.asarray(y).astype(np.float64)
+    xv = np.asarray(x).astype(np.float64, order="C")
+    yv = np.asarray(y).astype(np.float64, order="C")
     if xv.shape != yv.shape:
         raise ShapeError(f"l1 extent mismatch: {xv.shape} vs {yv.shape}")
     return float(np.mean(np.abs(xv - yv)))
@@ -116,7 +121,7 @@ def tstd(v) -> float:
     as-is since it is a constant factor per resolution.
     Note the value is frame-permutation invariant by construction.
     """
-    vv = np.asarray(v).astype(np.float64)
+    vv = np.asarray(v).astype(np.float64, order="C")
     if vv.ndim == 3:
         vv = vv[:, None]  # [F,H,W] -> [F,1,H,W]
     if vv.ndim != 4:

@@ -230,8 +230,8 @@ def decoder_forward(state: ModelState, z_q: Tensor) -> Tensor:
     for s in reversed(range(state.config.stages)):
         for r in range(2):
             h = _resblock(state, f"dec.stage{s}.res{r}", h)
-        h = tc.upsample_nearest3d(h, 2)
-        h = _conv(state, f"dec.stage{s}.up", h, padding=1)
+        h = tc.upsample_conv3d(h, state.params[f"dec.stage{s}.up.w"],
+                               state.params[f"dec.stage{s}.up.b"])
     h = _norm_act(state, "dec.out.norm", h)
     h = _conv(state, "dec.out.proj", h, padding=1)
     return tc.sigmoid(h)

@@ -61,10 +61,8 @@ class _Node:
     data holds it.
 
     ``remake``, when the op offers one, takes no arguments and rebuilds the
-    output byte for byte from state the node keeps anyway. It returns the
-    output, or a broadcast view whose reshape to the output's shape is the
-    output. A conv3d fed by such a node keeps the ``remake`` instead of its
-    input."""
+    output byte for byte from state the node keeps anyway. A conv3d fed by
+    such a node keeps the ``remake`` instead of its input."""
 
     __slots__ = ("inputs", "tape_key", "dtype", "backward_fn", "remake")
     requires_grad = True  # like any tracked Tensor, for code that reads inputs
@@ -388,6 +386,23 @@ def _triple(v, name: str) -> tuple:
 _SLAB_BYTES = 4 << 20
 
 
+def _padded_planes(c, span, h, w, ph, pw, dtype):
+    """A zero-bordered buffer xs [C, span, h+2ph, w+2pw] for ``span`` input
+    planes, and ``fill(xb, q0)``, which copies planes q0, q0+1, ... of one
+    sample xb [C,T,H,W] into it, zero where they fall outside [0, T)."""
+    xs = np.zeros((c, span, h + 2 * ph, w + 2 * pw), dtype=dtype)
+    inner = xs[:, :, ph:ph + h, pw:pw + w]
+
+    def fill(xb, q0):
+        a = min(max(0, -q0), span)
+        e = max(a, min(span, xb.shape[1] - q0))  # planes [a, e) hold input, the rest are T border
+        xs[:, :a] = 0
+        inner[:, a:e] = xb[:, q0 + a:q0 + e]
+        xs[:, e:] = 0
+
+    return xs, fill
+
+
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
@@ -409,10 +424,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     - Backward computes only the gradients whose inputs require one and
       returns None for the others.
     - The weight gradient runs the lowering again and holds ``gw`` and one
-      GEMM result of its size. A remade ``x`` lives only in this branch: as
-      one array after ``group_norm_swish``, and not at all after
-      ``upsample_nearest3d``, whose planes are copied straight into each
-      slab's zero-bordered planes.
+      GEMM result of its size. A remade ``x`` lives only in this branch.
     - The input gradient keeps no ``dcols``: it holds one tap's rows of one
       slab of output T-planes (``C`` rows, about ``_SLAB_BYTES``, or one
       plane), GEMMs each tap of the slab into them in turn, and adds each
@@ -456,29 +468,18 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     span = (rows - 1) * st + kt
 
     def slabs(src):
-        """im2col of ``src``, [N,C,T,H,W] or upsample's [N,C,T,ft,H,fh,W,fw]
-        view, one slab of ``rows`` output T-planes at a time: yields (b, s,
-        cols), with cols [ck, len(s)] for the flat output positions s of sample
-        b. Each call makes its own buffers, so no node keeps them."""
-        if src.ndim == 5:
-            src = src[:, :, :, None]
-        ft = src.shape[3]
-        xs = np.zeros((c, span, hp, wp), dtype=xdt)  # the padded input planes of one slab
-        # xs's interior with src's plane axes: it only splits axes, so it is a view
-        inner = xs[:, :, ph:ph + h, pw:pw + w].reshape((c, span) + src.shape[4:])
+        """im2col of ``src`` [N,C,T,H,W], one slab of ``rows`` output T-planes
+        at a time: yields (b, s, cols), with cols [ck, len(s)] for the flat
+        output positions s of sample b. Each call makes its own buffers, so no
+        node keeps them."""
+        xs, fill = _padded_planes(c, span, h, w, ph, pw, xdt)
         win = np.lib.stride_tricks.sliding_window_view(xs, (kt, kh, kw), axis=(1, 2, 3))
         win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)  # [C,kt,kh,kw,rows,ho,wo]
         slab = np.empty(ck * rows * plane, dtype=xdt)
         for b in range(n):
             for t0 in range(0, to, rows):
                 r = min(rows, to - t0)
-                q0 = t0 * st - pt  # the input plane in the slab's first padded plane
-                a = min(max(0, -q0), span)
-                e = max(a, min(span, t - q0))  # planes [a, e) hold input, the rest are T border
-                xs[:, :a] = 0
-                for i in range(a, e):
-                    np.copyto(inner[:, i], src[b, :, (q0 + i) // ft, (q0 + i) % ft])
-                xs[:, e:] = 0
+                fill(src[b], t0 * st - pt)
                 cols = slab[:ck * r * plane].reshape(ck, r * plane)
                 np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, :r])
                 yield b, slice(t0 * plane, (t0 + r) * plane), cols
@@ -553,29 +554,179 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return _record(inputs, out, bwd)
 
 
-def upsample_nearest3d(x: Tensor, factor) -> Tensor:
-    """Replicate each voxel factor_t x factor_h x factor_w times.
+def _fold(v: np.ndarray, axis: int) -> np.ndarray:
+    """The 3-tap ``axis`` of ``v`` as seen from a x2 nearest upsample: [..., 3,
+    ...] -> [..., 2 phases, 2 taps, ...]. Output phase 0 reads the two
+    low-resolution planes nearest it with taps (v0, v1 + v2), phase 1 with
+    (v0 + v1, v2)."""
+    v0, v1, v2 = (v[(slice(None),) * axis + (i,)] for i in range(3))
+    return np.stack([np.stack([v0, v1 + v2], axis), np.stack([v0 + v1, v2], axis)], axis)
 
-    The node keeps ``x``, 1/(ft*fh*fw) of the output, for its ``remake``: a
-    [N,C,T,ft,H,fh,W,fw] broadcast view of ``x`` whose reshape is the output.
-    Backward reads only shapes.
+
+def _unfold(u: np.ndarray, axis: int) -> np.ndarray:
+    """The adjoint of ``_fold``: [..., 2, 2, ...] -> [..., 3, ...]."""
+    u00, u01, u10, u11 = (u[(slice(None),) * axis + (a, i)] for a in (0, 1) for i in (0, 1))
+    return np.stack([u00 + u10, u01 + u10, u01 + u11], axis)
+
+
+def _phase_kernels(w: np.ndarray) -> np.ndarray:
+    """[Co,C,3,3,3] kernels folded per axis into one [8*Co, 8*C] matrix: rows
+    (phase t, phase h, phase w, Co), columns (tap t, tap h, tap w, C)."""
+    co, c = w.shape[:2]
+    f = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # [kt, kh, kw, Co, C]
+    for axis in (0, 2, 4):
+        f = _fold(f, axis)  # [pt, i, ph, j, pw, k, Co, C] after the last
+    return f.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(8 * co, 8 * c)
+
+
+def _phase_kernels_adjoint(gk: np.ndarray, co: int, c: int) -> np.ndarray:
+    """The gradient of ``_phase_kernels``' [Co,C,3,3,3] input from ``gk``, the
+    gradient of its [8*Co, 8*C] output."""
+    u = gk.reshape(2, 2, 2, co, 2, 2, 2, c).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    for axis in (4, 2, 0):
+        u = _unfold(u, axis)  # [kt, kh, kw, Co, C] after the last
+    return u.transpose(3, 4, 0, 1, 2)
+
+
+def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``conv3d(up(x), weight, bias, padding=1)`` for [N,C,T,H,W] ``x``,
+    [Co,C,3,3,3] ``weight`` and ``up`` the nearest x2 upsample of T, H and W,
+    without making the upsampled array: [N,Co,2T,2H,2W].
+
+    Along each axis, output plane 2q + a (a = 0 or 1) of that conv reads only
+    input planes q - 1 + a and q + a, with taps (w0, w1 + w2) for a = 0 and
+    (w0 + w1, w2) for a = 1. So each of the eight output phases (a_t, a_h,
+    a_w) is a 2x2x2 conv of the input zero-bordered by one plane, whose window
+    at padded position q + a gives its output q. ``_phase_kernels`` folds the
+    weight into all eight as one [8*Co, 8*C] matrix. Forward GEMMs it over
+    the k2 im2col of the padded input, a slab of ``rows`` window planes at a
+    time, and interleaves the phases into the output. The input gradient
+    GEMMs its transpose over the output gradient laid out on the same windows
+    and adds each tap's rows into one sample's padded gradient. The weight
+    gradient runs one GEMM per phase over just that phase's T*H*W positions,
+    summed in T order within each sample, then in batch order, and folds the
+    eight phase-kernel gradients back with ``_phase_kernels_adjoint``.
+
+    Memory contract, as conv3d's: forward keeps ``x`` (an eighth of the
+    upsampled input) and nothing else for backward. Each pass holds, in
+    buffers reused for every slab and sample, one slab's padded input planes
+    and at most ``_SLAB_BYTES`` (or one plane's worth) in each of its other
+    buffers: forward the columns and their GEMM result, the weight gradient
+    one phase's columns and output gradient, the input gradient the output
+    gradient on the windows and the GEMM result. Beyond those, the weight
+    gradient holds the phase kernels' gradients and one GEMM result of one
+    phase's size, and the input gradient one sample's padded gradient.
     """
-    ft, fh, fw = _triple(factor, "factor")
-    if min(ft, fh, fw) < 1:
-        raise ArgumentError(f"upsample factor components must be >= 1, got {(ft, fh, fw)}")
     if x.data.ndim != 5:
-        raise ShapeError(f"upsample_nearest3d input must be rank 5, got rank {x.data.ndim}")
+        raise ShapeError(f"upsample_conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
     n, c, t, h, w = x.shape
-    xd = x.data
+    co = weight.shape[0]
+    if weight.shape != (co, c, 3, 3, 3):
+        raise ShapeError(f"upsample_conv3d weight must be [Co,{c},3,3,3], got {weight.shape}")
+    if bias is not None and bias.shape != (co,):
+        raise ShapeError(f"bias axis mismatch: expected ({co},), got {bias.shape}")
+    k8 = _phase_kernels(weight.data)
+    xd, xdt = x.data, x.dtype
+    # Bytes per window of a slab's widest buffer, 8*C columns or 8*Co results.
+    unit = 8 * max(c, co) * xdt.itemsize
+    plane = (h + 1) * (w + 1)  # the windows of one padded plane
+    rows = min(t + 1, max(1, _SLAB_BYTES // (unit * plane)))
 
-    def remake():
-        return np.broadcast_to(xd[:, :, :, None, :, None, :, None], (n, c, t, ft, h, fh, w, fw))
+    def lowering(span):
+        """``fill`` of a buffer of ``span`` padded planes, and its 2x2x2
+        windows [2,2,2,C,span-1,h+1,w+1]."""
+        xs, fill = _padded_planes(c, span, h, w, 1, 1, xdt)
+        win = np.lib.stride_tricks.sliding_window_view(xs, (2, 2, 2), axis=(1, 2, 3))
+        return fill, win.transpose(4, 5, 6, 0, 1, 2, 3)
+
+    out = np.empty((n, co, t, 2, h, 2, w, 2), dtype=np.result_type(k8, xd))
+    fill, win = lowering(rows + 1)
+    cbuf = np.empty(8 * c * rows * plane, dtype=xdt)
+    ybuf = np.empty(8 * co * rows * plane, dtype=out.dtype)
+    for b in range(n):
+        for s0 in range(0, t + 1, rows):
+            r = min(rows, t + 1 - s0)
+            fill(xd[b], s0 - 1)
+            cols = cbuf[:8 * c * r * plane].reshape(8 * c, r * plane)
+            np.copyto(cols.reshape(2, 2, 2, c, r, h + 1, w + 1), win[:, :, :, :, :r])
+            y = np.matmul(k8, cols, out=ybuf[:8 * co * r * plane].reshape(8 * co, r * plane))
+            y = y.reshape(2, 2, 2, co, r, h + 1, w + 1)
+            for at, ah, aw in np.ndindex(2, 2, 2):
+                lo, hi = max(s0, at), min(s0 + r, t + at)  # windows with an output plane
+                out[b, :, lo - at:hi - at, at, :, ah, :, aw] = \
+                    y[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w]
+    out = out.reshape(n, co, 2 * t, 2 * h, 2 * w)
+    if bias is not None:
+        out += bias.data[None, :, None, None, None]
+
+    def weight_grad(gv):
+        hw = h * w
+        rows = min(t, max(1, _SLAB_BYTES // (unit * hw)))
+        fill, win = lowering(rows + 2)  # phase a of plane q reads window q + a
+        cbuf = np.empty(8 * c * rows * hw, dtype=xdt)
+        gbuf = np.empty(co * rows * hw, dtype=gv.dtype)
+        gk = np.empty((8, co, 8 * c), dtype=np.result_type(gv, xdt))
+        part = np.empty_like(gk[0])
+        for b in range(n):
+            for t0 in range(0, t, rows):
+                r = min(rows, t - t0)
+                fill(xd[b], t0 - 1)
+                cols = cbuf[:8 * c * r * hw].reshape(8 * c, r * hw)
+                gs = gbuf[:co * r * hw].reshape(co, r * hw)
+                for q, (at, ah, aw) in enumerate(np.ndindex(2, 2, 2)):
+                    np.copyto(cols.reshape(2, 2, 2, c, r, h, w),
+                              win[:, :, :, :, at:at + r, ah:ah + h, aw:aw + w])
+                    np.copyto(gs.reshape(co, r, h, w), gv[b, :, t0:t0 + r, at, :, ah, :, aw])
+                    if b or t0:
+                        gk[q] += np.matmul(gs, cols.T, out=part)
+                    else:  # each phase's first GEMM starts its sum
+                        np.matmul(gs, cols.T, out=gk[q])
+        return _phase_kernels_adjoint(gk, co, c)
+
+    def input_grad(gv):
+        # The output gradient on the windows of a slab, each phase's at the
+        # window that made it and zero elsewhere, on the padded plane pitch: so
+        # each tap's rows of the GEMM add, one contiguous run per channel, into
+        # the padded gradient at the tap's offset. Only zero columns run past
+        # a padded row or plane.
+        hp, wp = h + 2, w + 2
+        hw = hp * wp
+        rows = min(t + 1, max(1, _SLAB_BYTES // (unit * hw)))
+        kt8 = np.ascontiguousarray(_phase_kernels(weight.data).T)  # not kept from forward
+        gbuf = np.empty(8 * co * rows * hw, dtype=gv.dtype)
+        dbuf = np.empty(8 * c * rows * hw, dtype=np.result_type(kt8, gv))
+        gxp = np.empty((c, (t + 3) * hw), dtype=xdt)  # a spare plane for those runs
+        gx = np.empty((n, c, t, h, w), dtype=xdt)
+        for b in range(n):
+            gxp.fill(0)
+            for s0 in range(0, t + 1, rows):
+                r = min(rows, t + 1 - s0)
+                gs = gbuf[:8 * co * r * hw].reshape(2, 2, 2, co, r, hp, wp)
+                gs.fill(0)
+                for at, ah, aw in np.ndindex(2, 2, 2):
+                    lo, hi = max(s0, at), min(s0 + r, t + at)
+                    gs[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w] = \
+                        gv[b, :, lo - at:hi - at, at, :, ah, :, aw]
+                d = np.matmul(kt8, gs.reshape(8 * co, r * hw),
+                              out=dbuf[:8 * c * r * hw].reshape(8 * c, r * hw))
+                d = d.reshape(8, c, r * hw)
+                for q, (i, j, k) in enumerate(np.ndindex(2, 2, 2)):
+                    o = (s0 + i) * hw + j * wp + k
+                    gxp[:, o:o + r * hw] += d[q]
+            gx[b] = gxp.reshape(c, t + 3, hp, wp)[:, 1:t + 1, 1:h + 1, 1:w + 1]
+        return gx
+
+    x_grad = x.requires_grad
 
     def bwd(g):
-        gr = g.reshape(n, c, t, ft, h, fh, w, fw)
-        return (gr.sum(axis=(3, 5, 7)),)
+        gv = g.reshape(n, co, t, 2, h, 2, w, 2)
+        gw = weight_grad(gv) if weight.requires_grad else None
+        gx = input_grad(gv) if x_grad else None
+        gb = g.sum(axis=(0, 2, 3, 4)) if bias is not None and bias.requires_grad else None
+        return gx, gw, gb
 
-    return _record((x,), remake().reshape(n, c, t * ft, h * fh, w * fw), bwd, remake)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _record(inputs, out, bwd)
 
 
 def group_norm_swish(x: Tensor, groups: int, gain: Tensor, bias: Tensor,

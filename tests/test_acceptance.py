@@ -117,9 +117,11 @@ class TestCriterion1:
         run(lambda a: tc.tsum(tc.mul(tc.moveaxis(a, 0, 1), 1.5)), single)
         run(lambda a: tc.tsum(tc.mul(tc.take_rows(a, np.array([0, 2, 2])),
                                      np.pi)), single)
-        run(lambda a: tc.tsum(tc.mul(tc.upsample_nearest3d(a, 2),
-                                     tc.upsample_nearest3d(a, 2))),
-            lambda rng: [rng.normal(size=(1, 2, 2, 2, 2))])
+        run(lambda x, w, b: tc.tsum(tc.mul(tc.upsample_conv3d(x, w, b),
+                                           tc.upsample_conv3d(x, w, b))),
+            lambda rng: [rng.normal(size=(1, 2, 2, 2, 2)),
+                         rng.normal(size=(3, 2, 3, 3, 3)) * 0.4,
+                         rng.normal(size=3)])
 
         def conv_build(x, w, b):
             return tc.tsum(tc.mul(tc.conv3d(x, w, b, stride=1, padding=1), 0.3))

@@ -119,6 +119,35 @@ class TestSsim:
 
         assert peak((64, 4, 32, 32)) <= 1.25 * peak((16, 4, 32, 32))
 
+    VIEWS = {"moveaxis": ((19, 16, 9, 11), lambda a: np.moveaxis(a, 0, 1)),
+             "transposed": ((3, 9, 12), lambda a: a.swapaxes(1, 2)),
+             "reversed": ((5, 2, 8, 9), lambda a: a[::-1, :, ::-1])}
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_view_matches_contiguous_bitwise(self, view):
+        # evaluate scores moveaxis views of the window and the decoded volume:
+        # a view's images must be read in the same order with the same bytes.
+        shape, make = self.VIEWS[view]
+        x, y = (make(a) for a in random_pair(np.random.default_rng(25), shape=shape))
+        assert not x.flags.c_contiguous
+        assert mt.ssim(x, y) == mt.ssim(np.ascontiguousarray(x), np.ascontiguousarray(y))
+
+    def test_view_peak_matches_contiguous(self):
+        # Each group is taken straight from a view: no copy of the whole input.
+        rng = np.random.default_rng(26)
+        x, y = (np.moveaxis(rng.uniform(size=(19, 16, 32, 32)).astype(np.float32), 0, 1)
+                for _ in range(2))
+
+        def peak(a, b):
+            tracemalloc.start()
+            try:
+                mt.ssim(a, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x, y) <= 1.05 * peak(np.ascontiguousarray(x), np.ascontiguousarray(y))
+
     def test_bounded(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -137,6 +166,18 @@ class TestSsim:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mt.ssim(np.zeros((1, 8, 8)), np.zeros((2, 8, 8)))
+
+
+@pytest.mark.parametrize("name", ["psnr", "l1", "tstd"])
+def test_view_scores_like_contiguous_bitwise(name):
+    # evaluate scores moveaxis views; detokenize writes the contiguous
+    # volume. Whichever a metric reads, it must give the same bytes.
+    rng = np.random.default_rng(27)
+    fn = getattr(mt, name)
+    for _ in range(20):
+        x, y = (np.moveaxis(a, 0, 1) for a in random_pair(rng, shape=(4, 16, 32, 32)))
+        args = (y,) if name == "tstd" else (x, y)
+        assert fn(*args) == fn(*(np.ascontiguousarray(a) for a in args))
 
 
 class TestPsnr:

@@ -1,6 +1,10 @@
 import errno
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,26 @@ def reference_leaky_relu(x, g, slope=0.2):
     mask = x > 0
     out = np.where(mask, x, slope * x).astype(x.dtype)
     return out, (g * np.where(mask, 1.0, slope).astype(x.dtype),)
+
+
+def reference_upsample(x):
+    """Nearest x2 upsample of T, H and W: each voxel repeated 2x2x2 times."""
+    return x.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
+
+
+def upsample_conv3d_reference(xv, wv, bv, g):
+    """reference_upsample then a k3 p1 conv3d, and its gradients for upstream
+    ``g``: (out, gx, gw, gb), gb None without a bias. gx sums the upsampled
+    input's gradient over each voxel's eight copies."""
+    up = Tensor(reference_upsample(xv), requires_grad=True)
+    w = Tensor(wv, requires_grad=True)
+    b = None if bv is None else Tensor(bv, requires_grad=True)
+    with Tape():
+        out = tc.conv3d(up, w, b, padding=1)
+        backward(tc.tsum(tc.mul(out, Tensor(g))))
+    n, c, t, h, wd = xv.shape
+    gx = up.grad.reshape(n, c, t, 2, h, 2, wd, 2).sum(axis=(3, 5, 7))
+    return out.data, gx, w.grad, None if b is None else b.grad
 
 
 class TestConv3d:
@@ -593,30 +617,170 @@ class TestConv3d:
 
 
 class TestUpsample:
+    """upsample_conv3d against reference_upsample then conv3d."""
+
     def test_width_doubling(self):
+        # The centre tap alone makes the op a nearest x2 upsample.
         x = Tensor(np.array([[1.0, 2.0]]).reshape(1, 1, 1, 1, 2))
-        out = tc.upsample_nearest3d(x, (1, 1, 2))
-        assert np.array_equal(out.numpy().ravel(), [1, 1, 2, 2])
+        w = np.zeros((1, 1, 3, 3, 3))
+        w[0, 0, 1, 1, 1] = 1.0
+        out = tc.upsample_conv3d(x, Tensor(w))
+        assert out.shape == (1, 1, 2, 2, 4)
+        assert np.array_equal(out.numpy().reshape(4, 4), [[1, 1, 2, 2]] * 4)
 
-    def test_identity_factor(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 2, 3, 3))
-        out = tc.upsample_nearest3d(Tensor(x), (1, 1, 1))
-        assert np.array_equal(out.numpy(), x)
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ArgumentError):
-            tc.upsample_nearest3d(Tensor(np.zeros((1, 1, 1, 1, 1))), (0, 1, 1))
+    def test_rejects_other_kernels(self):
+        x = Tensor(np.zeros((1, 2, 2, 2, 2)))
+        for shape in ((1, 2, 1, 1, 1), (1, 3, 3, 3, 3)):
+            with pytest.raises(ShapeError, match="3,3,3"):
+                tc.upsample_conv3d(x, Tensor(np.zeros(shape)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 2, 2, 2, 2))
+        w = rng.normal(size=(3, 2, 3, 3, 3)) * 0.4
+        b = rng.normal(size=3)
 
-        def build(xt):
-            up = tc.upsample_nearest3d(xt, (2, 1, 2))
-            return tc.tsum(tc.mul(up, up))
+        def build(xt, wt, bt):
+            out = tc.upsample_conv3d(xt, wt, bt)
+            return tc.tsum(tc.mul(out, out))
 
-        assert check_grads(build, [x]) < 1e-5
+        assert check_grads(build, [x, w, b]) < 1e-5
+
+    def run(self, xv, wv, bv, g):
+        """upsample_conv3d's (out, gx, gw, gb) for upstream ``g``; gb is None
+        without a bias."""
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        b = None if bv is None else Tensor(bv, requires_grad=True)
+        with Tape():
+            out = tc.upsample_conv3d(x, w, b)
+            backward(tc.tsum(tc.mul(out, Tensor(g))))
+        return out.data, x.grad, w.grad, None if b is None else b.grad
+
+    def check(self, shape, co, dtype, with_bias=True):
+        rng = np.random.default_rng(16)
+        n, c, t, h, w = shape
+        xv = rng.normal(size=shape).astype(dtype)
+        wv = rng.normal(size=(co, c, 3, 3, 3)).astype(dtype)
+        bv = rng.normal(size=co).astype(dtype) if with_bias else None
+        g = rng.normal(size=(n, co, 2 * t, 2 * h, 2 * w)).astype(dtype)
+        want = upsample_conv3d_reference(xv, wv, bv, g)
+        for name, a, e in zip(("out", "gx", "gw", "gb"), self.run(xv, wv, bv, g), want):
+            if e is None:
+                continue
+            assert a.dtype == e.dtype and a.shape == e.shape, name
+            err = rel_err(a, e)
+            assert err <= TestConv3d.SPLIT_RTOL[dtype], (name, err)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape,co", [((2, 5, 3, 2, 4), 7), ((1, 3, 1, 1, 1), 2),
+                                          ((2, 8, 4, 5, 3), 4)])
+    def test_matches_upsample_then_conv3d(self, shape, co, with_bias, dtype):
+        self.check(shape, co, dtype, with_bias)
+
+    def test_slabs_match_upsample_then_conv3d(self):
+        # Forward's 8 window planes, the weight gradient's 7 input planes and
+        # the input gradient's 8 window planes each span several slabs of 3,
+        # the last one partial.
+        shape, co = (1, 16, 7, 48, 48), 8
+        unit = 8 * 16 * 4
+        for planes, plane in ((8, 49 * 49), (7, 48 * 48), (8, 50 * 50)):
+            rows = tc._SLAB_BYTES // (unit * plane)
+            assert rows == 3 and planes % rows, "each pass must span several slabs, the last partial"
+        self.check(shape, co, np.float32)
+
+    def test_one_plane_slabs_match_upsample_then_conv3d(self, monkeypatch):
+        monkeypatch.setattr(tc, "_SLAB_BYTES", 1)
+        self.check((2, 5, 3, 2, 4), 7, np.float64)
+
+    # The decoder's upsample convs at the smoke width (README config).
+    SMOKE_SHAPES = [((2, 64, 2, 4, 4), 32), ((2, 32, 4, 8, 8), 16), ((2, 16, 8, 16, 16), 8)]
+
+    def test_bytes_match_at_1_and_2_blas_threads_bitwise(self):
+        # Each in its own process: the folded GEMMs must not round with the
+        # BLAS thread count, or training bytes would depend on it.
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from motok import tensorcore as tc\n"
+            "from motok.tensorcore import Tape, Tensor, backward\n"
+            "digest = hashlib.sha256()\n"
+            f"for shape, co in {self.SMOKE_SHAPES!r}:\n"
+            "    rng = np.random.default_rng(17)\n"
+            "    x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)\n"
+            "               for s in (shape, (co, shape[1], 3, 3, 3), (co,)))\n"
+            "    with Tape():\n"
+            "        out = tc.upsample_conv3d(x, w, b)\n"
+            "        g = Tensor(rng.normal(size=out.shape).astype(np.float32))\n"
+            "        backward(tc.tsum(tc.mul(out, g)))\n"
+            "    for a in (out.data, x.grad, w.grad, b.grad):\n"
+            "        digest.update(a.tobytes())\n"
+            "print(digest.hexdigest())\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       MKL_NUM_THREADS=n, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    MEMORY_SHAPE = (1, 4, 16, 64, 64)
+
+    def memory_case(self, x_grad):
+        """A [1,4,16,64,64] -> 4 upsample_conv3d on a tape, backward's
+        upstream gradient, and the same through reference_upsample and
+        conv3d. Here the k3 conv's columns of one upsampled output plane
+        (7 MiB) exceed a slab."""
+        rng = np.random.default_rng(18)
+        xv = rng.normal(size=self.MEMORY_SHAPE).astype(np.float32)
+        wv = rng.normal(size=(4, 4, 3, 3, 3)).astype(np.float32)
+        assert 27 * 4 * 128 * 128 * 4 > tc._SLAB_BYTES
+        with Tape() as tape:
+            out = tc.upsample_conv3d(Tensor(xv, requires_grad=x_grad),
+                                     Tensor(wv, requires_grad=not x_grad))
+        with Tape() as ref_tape:
+            tc.conv3d(Tensor(reference_upsample(xv), requires_grad=x_grad),
+                      Tensor(wv, requires_grad=not x_grad), padding=1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        return tape.nodes[-1].backward_fn, ref_tape.nodes[-1].backward_fn, g
+
+    def test_weight_grad_holds_one_slab_of_cols(self):
+        # A weight-gradient-only backward holds one slab of one phase's
+        # columns, the padded input planes that slab reads, that phase's
+        # output gradient over the slab (Co/8C of the columns), gw, the phase
+        # kernels' gradients and 64 KiB of small objects. Upsampling then
+        # conv3d holds one upsampled plane's columns, more than that.
+        bwd, ref_bwd, g = self.memory_case(x_grad=False)
+        n, c, t, h, w = self.MEMORY_SHAPE
+        rows = tc._SLAB_BYTES // (8 * c * 4 * h * w)
+        slab = 8 * c * rows * h * w * 4
+        bound = slab + c * (rows + 2) * (h + 2) * (w + 2) * 4 + slab // 8 + (64 << 10)
+        (gx, gw, _), _, peak = traced(lambda: bwd(g))
+        assert gx is None and gw.shape == (4, c, 3, 3, 3)
+        assert peak <= bound
+        (_, ref_gw, _), _, ref_peak = traced(lambda: ref_bwd(g))
+        assert ref_peak > bound
+        assert rel_err(gw, ref_gw) <= TestConv3d.SPLIT_RTOL[np.float32]
+
+    def test_input_grad_holds_one_slab_and_one_padded_sample(self):
+        # An input-gradient-only backward holds, beyond g: the output gradient
+        # on one slab's windows and the GEMM result over them (at most a slab
+        # each), one sample's padded gradient, gx and 64 KiB. Upsampling then
+        # conv3d holds the upsampled input's gradient, more than that.
+        bwd, ref_bwd, g = self.memory_case(x_grad=True)
+        n, c, t, h, w = self.MEMORY_SHAPE
+        padded = c * (t + 3) * (h + 2) * (w + 2) * 4
+        bound = 2 * tc._SLAB_BYTES + padded + n * c * t * h * w * 4 + (64 << 10)
+        (gx, gw, _), _, peak = traced(lambda: bwd(g))
+        assert gw is None and gx.shape == self.MEMORY_SHAPE
+        assert peak <= bound
+        (ref_gx, _, _), _, ref_peak = traced(lambda: ref_bwd(g))
+        assert ref_peak > bound
+        ref_gx = ref_gx.reshape(n, c, t, 2, h, 2, w, 2).sum(axis=(3, 5, 7))
+        assert rel_err(gx, ref_gx) <= TestConv3d.SPLIT_RTOL[np.float32]
 
 
 class TestElementwise:
@@ -922,15 +1086,13 @@ class TestTape:
         assert held <= 0.5 * x.data.nbytes
         assert x.grad is not None and w.grad is not None
 
-    # group_norm_swish -> conv3d -> upsample_nearest3d -> conv3d, the
-    # decoder's pattern. Five channels make the upsampled conv's slabs, for
-    # forward and the weight gradient alike, 7, 7 and 2 output planes.
+    # group_norm_swish -> conv3d -> upsample_conv3d, the decoder's pattern.
     CHAIN = (2, 5, 8, 16, 16)
 
-    def chain(self, dtype, factor=2, materialise=False):
+    def chain(self, dtype, materialise=False):
         """The chain's leaves and its forward. With ``materialise`` each conv
         input passes through a reshape node, which offers no ``remake``, so
-        the conv keeps its input array instead."""
+        the conv3d keeps its input array instead."""
         rng = np.random.default_rng(49)
         c = self.CHAIN[1]
         leaves = [Tensor(rng.normal(size=self.CHAIN).astype(dtype), requires_grad=True),
@@ -946,16 +1108,14 @@ class TestTape:
         def forward():
             h = tc.group_norm_swish(x, 1, gain, bias)
             h = tc.conv3d(feed(h), w1, padding=1)
-            h = tc.upsample_nearest3d(h, factor)
-            return tc.conv3d(feed(h), w2, padding=1)
+            return tc.upsample_conv3d(feed(h), w2)
 
         return leaves, forward
 
     def test_conv_keeps_what_its_input_is_made_from(self):
-        # The first conv keeps the norm's remake, the second the upsample's,
-        # and the upsample keeps its input: one activation of x's size. A conv
-        # that kept its input would hold the norm's output and the upsampled
-        # one besides, nine of them.
+        # The conv3d keeps the norm's remake, and upsample_conv3d its input:
+        # one activation of x's size. A conv3d that kept its input would hold
+        # the norm's output besides.
         (x, *_), forward = self.chain(np.float32)
         tracemalloc.start()
         try:
@@ -970,12 +1130,11 @@ class TestTape:
         assert all(node.remake is None for node in tape.nodes)
         assert x.grad is not None
 
-    @pytest.mark.parametrize("factor", [2, (1, 2, 3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_remade_conv_inputs_match_materialised_bitwise(self, dtype, factor):
+    def test_remade_conv_inputs_match_materialised_bitwise(self, dtype):
         results = []
         for materialise in (False, True):
-            leaves, forward = self.chain(dtype, factor, materialise)
+            leaves, forward = self.chain(dtype, materialise=materialise)
             with Tape():
                 out = forward()
                 g = np.random.default_rng(50).normal(size=out.shape).astype(dtype)
@@ -1001,22 +1160,17 @@ class TestTape:
                     peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
-        upsampled = 8 * np.prod(self.CHAIN) * 4
-        assert peaks[0] <= peaks[1] + upsampled
+        activation = np.prod(self.CHAIN) * 4  # the norm's output
+        assert peaks[0] <= peaks[1] + activation
 
-    @pytest.mark.parametrize("op", ["group_norm_swish-float32", "group_norm_swish-float64",
-                                    "upsample-float32"])
+    @pytest.mark.parametrize("op", ["group_norm_swish-float32", "group_norm_swish-float64"])
     def test_remake_rebuilds_the_output(self, op):
-        # The _Node contract: remake(), reshaped to the output's shape, is the
-        # output byte for byte.
-        name, dtype = op.split("-")
+        # The _Node contract: remake() is the output byte for byte.
+        dtype = op.split("-")[1]
         (x, gain, bias, *_), _ = self.chain(np.dtype(dtype))
         with Tape() as tape:
-            if name == "upsample":
-                out = tc.upsample_nearest3d(x, (1, 2, 3))
-            else:
-                out = tc.group_norm_swish(x, 1, gain, bias)
-        remade = tape.nodes[-1].remake().reshape(out.shape)
+            out = tc.group_norm_swish(x, 1, gain, bias)
+        remade = tape.nodes[-1].remake()
         assert remade.dtype == out.dtype and remade.tobytes() == out.data.tobytes()
 
     def test_tensor_from_another_tape_is_a_leaf(self):

@@ -20,7 +20,7 @@ With ``--train`` it runs one ``trainer.train`` step of the default config
 at batch ``N`` (1 by default). The phases are set-up (the keypoints) and
 ``train``, which also prints ``bwd_mib``: tracemalloc's reading when the
 generator's backward starts, that is what the tape holds then, the model and
-the batch included. At batch 1 it takes about 115 s and 2.25 GB on a 2-core
+the batch included. At batch 1 it takes about 55 s and 2.2 GB on a 2-core
 host, and at batch 2 about 4.3 GB.
 
 After each phase it prints its wall time, the process's ``ru_maxrss`` so far,
