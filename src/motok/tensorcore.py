@@ -386,106 +386,144 @@ def _triple(v, name: str) -> tuple:
 _SLAB_BYTES = 4 << 20
 
 
-def _padded_planes(c, span, h, w, ph, pw, dtype):
-    """A zero-bordered buffer xs [C, span, h+2ph, w+2pw] for ``span`` input
-    planes, and ``fill(xb, q0)``, which copies planes q0, q0+1, ... of one
-    sample xb [C,T,H,W] into it, zero where they fall outside [0, T)."""
-    xs = np.zeros((c, span, h + 2 * ph, w + 2 * pw), dtype=dtype)
+def _rows(planes: int, plane_bytes: int) -> int:
+    """Output T-planes per slab, of ``planes``, when a slab's widest buffer
+    holds ``plane_bytes`` a plane: as many as fit ``_SLAB_BYTES``, at least one."""
+    return min(planes, max(1, _SLAB_BYTES // plane_bytes))
+
+
+def _im2col(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: tuple):
+    """im2col of ``src`` [N,C,T,H,W], zero-bordered by ``lo`` planes before and
+    ``hi`` after on each axis, one slab of output T-planes at a time: yields
+    (b, s, cols), cols [C*kt*kh*kw, len(s)] (rows channel-major, then taps)
+    for the flat output positions s of sample b.
+
+    Memory contract: one slab of cols (``_rows`` planes, about ``_SLAB_BYTES``,
+    or one output plane's) and the zero-bordered input planes that slab
+    reads, in buffers made per call and reused for every slab and sample, so
+    no node keeps them. Nothing grows with the batch.
+    """
+    n, c, t, h, w = src.shape
+    st, sh, sw = stride
+    pt, ph, pw = lo
+    to, ho, wo = ((e + a + z - k) // s + 1
+                  for e, a, z, k, s in zip((t, h, w), lo, hi, kernel, stride))
+    ck, plane = c * math.prod(kernel), ho * wo
+    rows = _rows(to, ck * plane * src.itemsize)
+    span = (rows - 1) * st + kernel[0]
+    xs = np.zeros((c, span, h + ph + hi[1], w + pw + hi[2]), dtype=src.dtype)
     inner = xs[:, :, ph:ph + h, pw:pw + w]
+    win = np.lib.stride_tricks.sliding_window_view(xs, kernel, axis=(1, 2, 3))
+    win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)  # [C,kt,kh,kw,rows,ho,wo]
+    slab = np.empty(ck * rows * plane, dtype=src.dtype)
+    for b in range(n):
+        for t0 in range(0, to, rows):
+            r = min(rows, to - t0)
+            q0 = t0 * st - pt  # the input plane in the slab's first padded plane
+            a = min(max(0, -q0), span)
+            e = max(a, min(span, t - q0))  # planes [a, e) hold input, the rest are T border
+            xs[:, :a] = 0
+            inner[:, a:e] = src[b, :, q0 + a:q0 + e]
+            xs[:, e:] = 0
+            cols = slab[:ck * r * plane].reshape(ck, r * plane)
+            np.copyto(cols.reshape(c, *kernel, r, ho, wo), win[:, :, :, :, :r])
+            yield b, slice(t0 * plane, (t0 + r) * plane), cols
 
-    def fill(xb, q0):
-        a = min(max(0, -q0), span)
-        e = max(a, min(span, xb.shape[1] - q0))  # planes [a, e) hold input, the rest are T border
-        xs[:, :a] = 0
-        inner[:, a:e] = xb[:, q0 + a:q0 + e]
-        xs[:, e:] = 0
 
-    return xs, fill
+def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype) -> np.ndarray:
+    """The input gradient [N,C,T,H,W] (``shape``, ``dtype``) of a conv with
+    kernels ``wt`` [kt,kh,kw,C,Co], ``stride`` and ``pad`` planes of zeros on
+    both sides of each axis, without dcols: one GEMM per tap over a slab of
+    output T-planes.
+
+    ``lay(b, t0, grid)`` fills ``grid`` [Co, r, hb, wb] with sample b's output
+    gradient at output planes t0, t0+1, ...: output (q, y, x) at grid[:, q -
+    t0, y, x], zero elsewhere. The padded gradient is held as st*sh*sw stride
+    classes, each a flat [C, (ta+1)*hb*wb] grid of the same plane pitch, so tap
+    (i, j, k)'s GEMM over the slab gives columns that add, one contiguous run
+    per channel, into class (i%st, j%sh, k%sw) at offset (i//st, j//sh,
+    k//sw). Only zero columns run past a class's ta planes.
+
+    Memory contract: one slab of ``grid`` and one tap's C rows of it (``_rows``
+    planes, each buffer about ``_SLAB_BYTES``, or one plane's), one sample's
+    padded gradient and ``gx``. Nothing grows with the batch or the taps.
+    """
+    n, c, t, h, w = shape
+    kt, kh, kw, _, co = wt.shape
+    st, sh, sw = stride
+    pt, ph, pw = pad
+    tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
+    to = (tp - kt) // st + 1
+    ta, hb, wb = -(-tp // st), -(-hp // sh), -(-wp // sw)
+    hw = hb * wb
+    classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=dtype)
+    padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
+        .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
+    dt = np.result_type(wt, dtype)
+    rows = _rows(to, max(c, co) * hw * dt.itemsize)
+    gbuf = np.empty(co * rows * hw, dtype=dt)
+    buf = np.empty(c * rows * hw, dtype=dt)  # one tap's rows of one slab
+    gx = np.empty(shape, dtype=dtype)
+    for b in range(n):
+        classes.fill(0)
+        # Two conditions keep every voxel's sum bit-identical to a col2im of
+        # the whole dcols in (i, j, k) tap order. Slabs go in descending T: a
+        # voxel's taps with a smaller i come from later output planes. And the
+        # grid's zero columns GEMM to signed zeros with finite weights; adding
+        # one never changes a sum that starts at +0.
+        for t0 in reversed(range(0, to, rows)):
+            r = min(rows, to - t0)
+            grid = gbuf[:co * r * hw].reshape(co, r, hb, wb)
+            lay(b, t0, grid)
+            gs = grid.reshape(co, r * hw)
+            tap = buf[:c * r * hw].reshape(c, r * hw)
+            for i, j, k in np.ndindex(kt, kh, kw):
+                np.matmul(wt[i, j, k], gs, out=tap)
+                s = ((i // st + t0) * hb + j // sh) * wb + k // sw
+                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += tap
+        # Reshaped per sample: above stride 1 the interleave is a copy.
+        gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
+    return gx
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
 
-    Forward and backward loop over the batch. Forward and the weight gradient
-    share one im2col lowering: each sample into ``cols`` [C*kt*kh*kw,
-    r*ho*wo], a slab of ``rows`` output T-planes at a time. Forward GEMMs each
-    slab into its columns of the output; the weight gradient sums each slab's
-    GEMM into ``gw`` in T order within each sample, then in batch order.
-    Memory contract, beyond the inputs, the output and the gradients, all in
-    buffers reused for every slab and sample:
-
-    - Forward keeps nothing for backward but its inputs, and not even ``x``
-      when the node that made ``x`` offers a ``remake``: then it keeps that
-      instead.
-    - Each run of the lowering holds one slab of ``cols`` (about
-      ``_SLAB_BYTES``, or one output plane's) and the zero-bordered input
-      planes that slab reads, in buffers of its own.
-    - Backward computes only the gradients whose inputs require one and
-      returns None for the others.
-    - The weight gradient runs the lowering again and holds ``gw`` and one
-      GEMM result of its size. A remade ``x`` lives only in this branch.
-    - The input gradient keeps no ``dcols``: it holds one tap's rows of one
-      slab of output T-planes (``C`` rows, about ``_SLAB_BYTES``, or one
-      plane), GEMMs each tap of the slab into them in turn, and adds each
-      into one sample's padded gradient.
-
-    Nothing it holds grows with the batch or with the kernel's taps. With
-    T x H x W grow only one output plane's ``cols``, where they exceed
-    ``_SLAB_BYTES``, the input planes one slab reads, one tap's rows of one
-    plane, and one sample's padded input gradient.
+    Forward GEMMs each ``_im2col`` slab into the output. The weight gradient
+    runs ``_im2col`` again and sums each slab's GEMM into ``gw`` in T order
+    within each sample, then in batch order. The input gradient is
+    ``_col2im``. Forward keeps only its inputs, and in place of ``x`` the
+    ``remake`` of the node that made it, when that offers one; the remade
+    ``x`` lives only in the weight gradient. Backward computes only the
+    gradients whose inputs require one. Memory is the helpers' contracts,
+    plus ``gw`` and one GEMM result of its size.
     """
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
     if any(s < 1 for s in stride):
         raise ArgumentError(f"stride components must be >= 1, got {stride}")
+    if any(p < 0 for p in padding):
+        raise ArgumentError(f"padding components must be >= 0, got {padding}")
     if x.data.ndim != 5:
         raise ShapeError(f"conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
     if weight.data.ndim != 5:
         raise ShapeError(f"conv3d weight must be rank 5 [Co,C,kt,kh,kw], got rank {weight.data.ndim}")
     n, c, t, h, w = x.shape
-    co, ci, kt, kh, kw = weight.shape
+    co, ci, *kernel = weight.shape
     if ci != c:
         raise ShapeError(f"channel axis mismatch: input has {c} channels, weight expects {ci}")
     if bias is not None and bias.shape != (co,):
         raise ShapeError(f"bias axis mismatch: expected ({co},), got {bias.shape}")
-    pt, ph, pw = padding
-    st, sh, sw = stride
-    tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
-    for name, k, ext in (("T", kt, tp), ("H", kh, hp), ("W", kw, wp)):
-        if k > ext:
-            raise ShapeError(f"kernel exceeds padded input on axis {name}: {k} > {ext}")
-    to = (tp - kt) // st + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-
-    ck = c * kt * kh * kw
-    w2 = weight.data.reshape(co, ck)
-    plane = ho * wo
-    p = to * plane
+    for name, k, e, p in zip("THW", kernel, (t, h, w), padding):
+        if k > e + 2 * p:
+            raise ShapeError(f"kernel exceeds padded input on axis {name}: {k} > {e + 2 * p}")
+    to, ho, wo = ((e + 2 * p - k) // s + 1 for e, p, k, s in zip((t, h, w), padding, kernel, stride))
+    w2 = weight.data.reshape(co, -1)
     xdt = x.dtype
-    rows = min(to, max(1, _SLAB_BYTES // (ck * plane * xdt.itemsize)))
-    span = (rows - 1) * st + kt
 
-    def slabs(src):
-        """im2col of ``src`` [N,C,T,H,W], one slab of ``rows`` output T-planes
-        at a time: yields (b, s, cols), with cols [ck, len(s)] for the flat
-        output positions s of sample b. Each call makes its own buffers, so no
-        node keeps them."""
-        xs, fill = _padded_planes(c, span, h, w, ph, pw, xdt)
-        win = np.lib.stride_tricks.sliding_window_view(xs, (kt, kh, kw), axis=(1, 2, 3))
-        win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)  # [C,kt,kh,kw,rows,ho,wo]
-        slab = np.empty(ck * rows * plane, dtype=xdt)
-        for b in range(n):
-            for t0 in range(0, to, rows):
-                r = min(rows, to - t0)
-                fill(src[b], t0 * st - pt)
-                cols = slab[:ck * r * plane].reshape(ck, r * plane)
-                np.copyto(cols.reshape(c, kt, kh, kw, r, ho, wo), win[:, :, :, :, :r])
-                yield b, slice(t0 * plane, (t0 + r) * plane), cols
-
-    out = np.empty((n, co, p), dtype=np.result_type(w2, x.data))
-    for b, s, cols in slabs(x.data):
+    out = np.empty((n, co, to * ho * wo), dtype=np.result_type(w2, x.data))
+    for b, s, cols in _im2col(x.data, kernel, stride, padding, padding):
         np.matmul(w2, cols, out=out[b, :, s])
     out = out.reshape(n, co, to, ho, wo)
     if bias is not None:
@@ -495,57 +533,30 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     x_grad = x.requires_grad
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.reshape(n, co, p))
+        g2 = np.ascontiguousarray(g.reshape(n, co, -1))
         gw = gx = gb = None
         if weight.requires_grad:
-            gw = np.empty((co, ck), dtype=np.result_type(g2, xdt))
+            gw = np.empty(w2.shape, dtype=np.result_type(g2, xdt))
             part = np.empty_like(gw)
-            for b, s, cols in slabs(xd if remake is None else remake()):
+            src = xd if remake is None else remake()
+            for b, s, cols in _im2col(src, kernel, stride, padding, padding):
                 if b or s.start:
                     gw += np.matmul(g2[b, :, s], cols.T, out=part)
                 else:  # the first slab's GEMM starts the sum
                     np.matmul(g2[b, :, s], cols.T, out=gw)
             gw = gw.reshape(weight.shape)
             # cols and the gx buffers both alive make malloc map fresh pages
-            del cols, part
+            del src, cols, part
         if x_grad:
-            # col2im without dcols, one GEMM per tap. The padded gradient is held as
-            # st*sh*sw stride classes, each a flat [C, (ta+1)*hb*wb] grid, and g sits
-            # in a zeroed [Co, to, hb, wb] grid of the same plane pitch. So tap
-            # (i, j, k)'s GEMM over a slab of output planes gives columns that add,
-            # one contiguous run per channel, into class (i%st, j%sh, k%sw) at offset
-            # (i//st, j//sh, k//sw). Only zero columns run past a class's ta planes.
-            ta, hb, wb = -(-tp // st), -(-hp // sh), -(-wp // sw)
-            hw = hb * wb
-            grid = np.zeros((co, to, hb, wb), dtype=g2.dtype)
-            classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=xdt)
-            padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
-                .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
+            gv = g2.reshape(n, co, to, ho, wo)
+
+            def lay(b, t0, grid):
+                grid[:, :, :ho, :wo] = gv[b, :, t0:t0 + grid.shape[1]]
+                grid[:, :, ho:] = 0
+                grid[:, :, :ho, wo:] = 0
+
             wt = np.ascontiguousarray(weight.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,C,Co]
-            dt = np.result_type(w2, g2)
-            rows = min(to, max(1, _SLAB_BYTES // (c * hw * dt.itemsize)))
-            buf = np.empty(c * rows * hw, dtype=dt)  # one tap's rows of one slab
-            gx = np.empty((n, c, t, h, w), dtype=xdt)
-            for b in range(n):
-                grid[:, :, :ho, :wo] = g2[b].reshape(co, to, ho, wo)
-                classes.fill(0)
-                # Two conditions keep every voxel's sum bit-identical to a col2im of
-                # the whole dcols in (i, j, k) tap order. Slabs go in descending T:
-                # a voxel's taps with a smaller i come from later output planes. And
-                # the grid's zero columns GEMM to signed zeros with finite weights;
-                # adding one never changes a sum that starts at +0.
-                for t0 in reversed(range(0, to, rows)):
-                    r = min(rows, to - t0)
-                    gs = grid[:, t0:t0 + r].reshape(co, r * hw)
-                    tap = buf[:c * r * hw].reshape(c, r * hw)
-                    for i in range(kt):
-                        for j in range(kh):
-                            for k in range(kw):
-                                np.matmul(wt[i, j, k], gs, out=tap)
-                                s = ((i // st + t0) * hb + j // sh) * wb + k // sw
-                                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += tap
-                # Reshaped per sample: above stride 1 the interleave is a copy.
-                gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
+            gx = _col2im((n, c, t, h, w), wt, stride, padding, lay, xdt)
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
@@ -571,18 +582,21 @@ def _unfold(u: np.ndarray, axis: int) -> np.ndarray:
 
 def _phase_kernels(w: np.ndarray) -> np.ndarray:
     """[Co,C,3,3,3] kernels folded per axis into one [8*Co, 8*C] matrix: rows
-    (phase t, phase h, phase w, Co), columns (tap t, tap h, tap w, C)."""
+    (phase t, phase h, phase w, Co), columns (C, tap t, tap h, tap w), the
+    row order of ``_im2col``'s columns."""
     co, c = w.shape[:2]
     f = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # [kt, kh, kw, Co, C]
     for axis in (0, 2, 4):
         f = _fold(f, axis)  # [pt, i, ph, j, pw, k, Co, C] after the last
-    return f.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(8 * co, 8 * c)
+    return f.transpose(0, 2, 4, 6, 7, 1, 3, 5).reshape(8 * co, 8 * c)
 
 
-def _phase_kernels_adjoint(gk: np.ndarray, co: int, c: int) -> np.ndarray:
+def _phase_kernels_adjoint(gk: np.ndarray) -> np.ndarray:
     """The gradient of ``_phase_kernels``' [Co,C,3,3,3] input from ``gk``, the
-    gradient of its [8*Co, 8*C] output."""
-    u = gk.reshape(2, 2, 2, co, 2, 2, 2, c).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    gradient of its [8*Co, 8*C] output, in any shape of that size whose last
+    axis is the 8*C columns."""
+    c = gk.shape[-1] // 8
+    u = gk.reshape(2, 2, 2, -1, c, 2, 2, 2).transpose(0, 5, 1, 6, 2, 7, 3, 4)
     for axis in (4, 2, 0):
         u = _unfold(u, axis)  # [kt, kh, kw, Co, C] after the last
     return u.transpose(3, 4, 0, 1, 2)
@@ -595,27 +609,18 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
 
     Along each axis, output plane 2q + a (a = 0 or 1) of that conv reads only
     input planes q - 1 + a and q + a, with taps (w0, w1 + w2) for a = 0 and
-    (w0 + w1, w2) for a = 1. So each of the eight output phases (a_t, a_h,
-    a_w) is a 2x2x2 conv of the input zero-bordered by one plane, whose window
-    at padded position q + a gives its output q. ``_phase_kernels`` folds the
-    weight into all eight as one [8*Co, 8*C] matrix. Forward GEMMs it over
-    the k2 im2col of the padded input, a slab of ``rows`` window planes at a
-    time, and interleaves the phases into the output. The input gradient
-    GEMMs its transpose over the output gradient laid out on the same windows
-    and adds each tap's rows into one sample's padded gradient. The weight
-    gradient runs one GEMM per phase over just that phase's T*H*W positions,
-    summed in T order within each sample, then in batch order, and folds the
-    eight phase-kernel gradients back with ``_phase_kernels_adjoint``.
-
-    Memory contract, as conv3d's: forward keeps ``x`` (an eighth of the
-    upsampled input) and nothing else for backward. Each pass holds, in
-    buffers reused for every slab and sample, one slab's padded input planes
-    and at most ``_SLAB_BYTES`` (or one plane's worth) in each of its other
-    buffers: forward the columns and their GEMM result, the weight gradient
-    one phase's columns and output gradient, the input gradient the output
-    gradient on the windows and the GEMM result. Beyond those, the weight
-    gradient holds the phase kernels' gradients and one GEMM result of one
-    phase's size, and the input gradient one sample's padded gradient.
+    (w0 + w1, w2) for a = 1. So output phase (a_t, a_h, a_w) at q is the 2x2x2
+    window at q + a of the input zero-bordered by one plane: together, a k2
+    conv with 8*Co outputs whose phases interleave (sub-pixel convolution),
+    with the [8*Co, 8*C] matrix of ``_phase_kernels``. Forward and the input
+    gradient are that conv's ``_im2col`` GEMM and ``_col2im``. The weight
+    gradient runs one ``_im2col`` per phase, bordered so that its windows are
+    that phase's T*H*W positions, sums each slab's GEMM in T order within
+    each sample, then in batch order, and folds the eight results back with
+    ``_phase_kernels_adjoint``. Forward keeps only ``x``. Memory is the
+    helpers' contracts, plus one slab's GEMM result (Co/C of its columns) in
+    forward, and one phase's output gradient over a slab and the phase
+    kernels' gradients in the weight gradient.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"upsample_conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
@@ -627,94 +632,48 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
         raise ShapeError(f"bias axis mismatch: expected ({co},), got {bias.shape}")
     k8 = _phase_kernels(weight.data)
     xd, xdt = x.data, x.dtype
-    # Bytes per window of a slab's widest buffer, 8*C columns or 8*Co results.
-    unit = 8 * max(c, co) * xdt.itemsize
-    plane = (h + 1) * (w + 1)  # the windows of one padded plane
-    rows = min(t + 1, max(1, _SLAB_BYTES // (unit * plane)))
-
-    def lowering(span):
-        """``fill`` of a buffer of ``span`` padded planes, and its 2x2x2
-        windows [2,2,2,C,span-1,h+1,w+1]."""
-        xs, fill = _padded_planes(c, span, h, w, 1, 1, xdt)
-        win = np.lib.stride_tricks.sliding_window_view(xs, (2, 2, 2), axis=(1, 2, 3))
-        return fill, win.transpose(4, 5, 6, 0, 1, 2, 3)
+    ones, k2, plane = (1, 1, 1), (2, 2, 2), (h + 1) * (w + 1)  # plane: windows per padded plane
 
     out = np.empty((n, co, t, 2, h, 2, w, 2), dtype=np.result_type(k8, xd))
-    fill, win = lowering(rows + 1)
-    cbuf = np.empty(8 * c * rows * plane, dtype=xdt)
-    ybuf = np.empty(8 * co * rows * plane, dtype=out.dtype)
-    for b in range(n):
-        for s0 in range(0, t + 1, rows):
-            r = min(rows, t + 1 - s0)
-            fill(xd[b], s0 - 1)
-            cols = cbuf[:8 * c * r * plane].reshape(8 * c, r * plane)
-            np.copyto(cols.reshape(2, 2, 2, c, r, h + 1, w + 1), win[:, :, :, :, :r])
-            y = np.matmul(k8, cols, out=ybuf[:8 * co * r * plane].reshape(8 * co, r * plane))
-            y = y.reshape(2, 2, 2, co, r, h + 1, w + 1)
-            for at, ah, aw in np.ndindex(2, 2, 2):
-                lo, hi = max(s0, at), min(s0 + r, t + at)  # windows with an output plane
-                out[b, :, lo - at:hi - at, at, :, ah, :, aw] = \
-                    y[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w]
+    for b, s, cols in _im2col(xd, k2, ones, ones, ones):
+        s0, r = s.start // plane, cols.shape[1] // plane
+        y = np.matmul(k8, cols).reshape(2, 2, 2, co, r, h + 1, w + 1)
+        for at, ah, aw in np.ndindex(2, 2, 2):
+            lo, hi = max(s0, at), min(s0 + r, t + at)  # windows with an output plane
+            out[b, :, lo - at:hi - at, at, :, ah, :, aw] = \
+                y[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w]
     out = out.reshape(n, co, 2 * t, 2 * h, 2 * w)
     if bias is not None:
         out += bias.data[None, :, None, None, None]
 
     def weight_grad(gv):
-        hw = h * w
-        rows = min(t, max(1, _SLAB_BYTES // (unit * hw)))
-        fill, win = lowering(rows + 2)  # phase a of plane q reads window q + a
-        cbuf = np.empty(8 * c * rows * hw, dtype=xdt)
-        gbuf = np.empty(co * rows * hw, dtype=gv.dtype)
         gk = np.empty((8, co, 8 * c), dtype=np.result_type(gv, xdt))
         part = np.empty_like(gk[0])
-        for b in range(n):
-            for t0 in range(0, t, rows):
-                r = min(rows, t - t0)
-                fill(xd[b], t0 - 1)
-                cols = cbuf[:8 * c * r * hw].reshape(8 * c, r * hw)
-                gs = gbuf[:co * r * hw].reshape(co, r * hw)
-                for q, (at, ah, aw) in enumerate(np.ndindex(2, 2, 2)):
-                    np.copyto(cols.reshape(2, 2, 2, c, r, h, w),
-                              win[:, :, :, :, at:at + r, ah:ah + h, aw:aw + w])
-                    np.copyto(gs.reshape(co, r, h, w), gv[b, :, t0:t0 + r, at, :, ah, :, aw])
-                    if b or t0:
-                        gk[q] += np.matmul(gs, cols.T, out=part)
-                    else:  # each phase's first GEMM starts its sum
-                        np.matmul(gs, cols.T, out=gk[q])
-        return _phase_kernels_adjoint(gk, co, c)
+        for q, a in enumerate(np.ndindex(2, 2, 2)):
+            # phase a of plane q reads window q + a of the input bordered by 1
+            for b, s, cols in _im2col(xd, k2, ones, tuple(1 - v for v in a), a):
+                t0, r = s.start // (h * w), cols.shape[1] // (h * w)
+                gs = np.ascontiguousarray(gv[b, :, t0:t0 + r, a[0], :, a[1], :, a[2]])
+                if b or t0:
+                    gk[q] += np.matmul(gs.reshape(co, -1), cols.T, out=part)
+                else:  # each phase's first GEMM starts its sum
+                    np.matmul(gs.reshape(co, -1), cols.T, out=gk[q])
+                del gs  # before the next slab's
+            del cols  # before the next phase's buffers
+        return _phase_kernels_adjoint(gk)
 
     def input_grad(gv):
-        # The output gradient on the windows of a slab, each phase's at the
-        # window that made it and zero elsewhere, on the padded plane pitch: so
-        # each tap's rows of the GEMM add, one contiguous run per channel, into
-        # the padded gradient at the tap's offset. Only zero columns run past
-        # a padded row or plane.
-        hp, wp = h + 2, w + 2
-        hw = hp * wp
-        rows = min(t + 1, max(1, _SLAB_BYTES // (unit * hw)))
-        kt8 = np.ascontiguousarray(_phase_kernels(weight.data).T)  # not kept from forward
-        gbuf = np.empty(8 * co * rows * hw, dtype=gv.dtype)
-        dbuf = np.empty(8 * c * rows * hw, dtype=np.result_type(kt8, gv))
-        gxp = np.empty((c, (t + 3) * hw), dtype=xdt)  # a spare plane for those runs
-        gx = np.empty((n, c, t, h, w), dtype=xdt)
-        for b in range(n):
-            gxp.fill(0)
-            for s0 in range(0, t + 1, rows):
-                r = min(rows, t + 1 - s0)
-                gs = gbuf[:8 * co * r * hw].reshape(2, 2, 2, co, r, hp, wp)
-                gs.fill(0)
-                for at, ah, aw in np.ndindex(2, 2, 2):
-                    lo, hi = max(s0, at), min(s0 + r, t + at)
-                    gs[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w] = \
-                        gv[b, :, lo - at:hi - at, at, :, ah, :, aw]
-                d = np.matmul(kt8, gs.reshape(8 * co, r * hw),
-                              out=dbuf[:8 * c * r * hw].reshape(8 * c, r * hw))
-                d = d.reshape(8, c, r * hw)
-                for q, (i, j, k) in enumerate(np.ndindex(2, 2, 2)):
-                    o = (s0 + i) * hw + j * wp + k
-                    gxp[:, o:o + r * hw] += d[q]
-            gx[b] = gxp.reshape(c, t + 3, hp, wp)[:, 1:t + 1, 1:h + 1, 1:w + 1]
-        return gx
+        def lay(b, s0, grid):
+            grid = grid.reshape(2, 2, 2, co, -1, h + 2, w + 2)
+            grid.fill(0)
+            for at, ah, aw in np.ndindex(2, 2, 2):
+                lo, hi = max(s0, at), min(s0 + grid.shape[4], t + at)
+                grid[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w] = \
+                    gv[b, :, lo - at:hi - at, at, :, ah, :, aw]
+
+        # the phase kernels are not kept from forward
+        wt = _phase_kernels(weight.data).reshape(8 * co, c, 2, 2, 2).transpose(2, 3, 4, 1, 0)
+        return _col2im(xd.shape, np.ascontiguousarray(wt), ones, ones, lay, xdt)
 
     x_grad = x.requires_grad
 

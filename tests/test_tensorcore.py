@@ -567,6 +567,29 @@ class TestConv3d:
         assert gx.shape == x.shape
         assert peak <= grid + classes + gx.nbytes + 1.25 * tap
 
+    def test_input_grad_holds_one_slab_of_the_output_gradient(self):
+        # Beyond g, a frozen-weight k3s1 input gradient holds one slab of g on
+        # the padded plane pitch and one tap's C rows of it, one sample's
+        # padded gradient, gx and 64 KiB. One sample's whole padded output
+        # gradient (8.5 MiB here) is more than all of that.
+        k, s, pad = CONV_CLASSES["k3s1"]
+        rng = np.random.default_rng(13)
+        n, c, t, h, w, co = 1, 4, 16, 64, 64, 32
+        x = Tensor(rng.normal(size=(n, c, t, h, w)).astype(np.float32), requires_grad=True)
+        wt = Tensor(rng.normal(size=(co, c, k, k, k)).astype(np.float32))
+        with Tape() as tape:
+            out = tc.conv3d(x, wt, stride=s, padding=pad)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        hw = (h + 2) * (w + 2)
+        rows = min(t, max(1, tc._SLAB_BYTES // (co * hw * 4)))
+        assert rows < t, "the output gradient must span several slabs"
+        classes = c * (t + 2 + 1) * hw * 4
+        bound = (co + c) * rows * hw * 4 + classes + x.data.nbytes + (64 << 10)
+        assert co * t * hw * 4 > bound
+        (gx, _, _), _, peak = traced(lambda: tape.nodes[-1].backward_fn(g))
+        assert gx.shape == x.shape
+        assert peak <= bound
+
     def test_skips_input_grad_when_input_is_constant(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 4, 4, 4)))
@@ -604,6 +627,12 @@ class TestConv3d:
             return tc.tsum(tc.mul(out, out))
 
         assert check_grads(build, [x, w, b]) < 1e-5
+
+    @pytest.mark.parametrize("stride,padding", [(0, 0), ((1, 0, 1), 1), (1, -1), (1, (0, -1, 0))])
+    def test_rejects_stride_below_one_or_negative_padding(self, stride, padding):
+        with pytest.raises(ArgumentError):
+            tc.conv3d(Tensor(np.zeros((1, 1, 4, 4, 4))), Tensor(np.zeros((1, 1, 3, 3, 3))),
+                      stride=stride, padding=padding)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ShapeError, match="channel"):
