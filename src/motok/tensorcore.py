@@ -387,8 +387,9 @@ _SLAB_BYTES = 4 << 20
 
 
 def _rows(planes: int, plane_bytes: int) -> int:
-    """Output T-planes per slab, of ``planes``, when a slab's widest buffer
-    holds ``plane_bytes`` a plane: as many as fit ``_SLAB_BYTES``, at least one."""
+    """Output T-planes (or kernel taps) per slab, of ``planes``, when a slab's
+    widest buffer holds ``plane_bytes`` for each: as many as fit
+    ``_SLAB_BYTES``, at least one."""
     return min(planes, max(1, _SLAB_BYTES // plane_bytes))
 
 
@@ -433,20 +434,22 @@ def _im2col(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: tuple)
 def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype) -> np.ndarray:
     """The input gradient [N,C,T,H,W] (``shape``, ``dtype``) of a conv with
     kernels ``wt`` [kt,kh,kw,C,Co], ``stride`` and ``pad`` planes of zeros on
-    both sides of each axis, without dcols: one GEMM per tap over a slab of
-    output T-planes.
+    both sides of each axis, without dcols: GEMMs of a few taps' rows of
+    ``wt`` at a time over a slab of output T-planes.
 
     ``lay(b, t0, grid)`` fills ``grid`` [Co, r, hb, wb] with sample b's output
     gradient at output planes t0, t0+1, ...: output (q, y, x) at grid[:, q -
     t0, y, x], zero elsewhere. The padded gradient is held as st*sh*sw stride
     classes, each a flat [C, (ta+1)*hb*wb] grid of the same plane pitch, so tap
-    (i, j, k)'s GEMM over the slab gives columns that add, one contiguous run
-    per channel, into class (i%st, j%sh, k%sw) at offset (i//st, j//sh,
-    k//sw). Only zero columns run past a class's ta planes.
+    (i, j, k)'s C rows of a GEMM over the slab are columns that add, one
+    contiguous run per channel, into class (i%st, j%sh, k%sw) at offset (i//st,
+    j//sh, k//sw). Only zero columns run past a class's ta planes.
 
-    Memory contract: one slab of ``grid`` and one tap's C rows of it (``_rows``
-    planes, each buffer about ``_SLAB_BYTES``, or one plane's), one sample's
-    padded gradient and ``gx``. Nothing grows with the batch or the taps.
+    Memory contract: one slab of ``grid`` and the GEMM result of one group of
+    taps over it, together about ``_SLAB_BYTES`` (``_rows`` planes, or one
+    plane's). A group is one tap, or Co // C taps where that is more, so its
+    GEMM has no more rows than the grid. Beyond them one sample's padded
+    gradient and ``gx``. Nothing grows with the batch or the taps.
     """
     n, c, t, h, w = shape
     kt, kh, kw, _, co = wt.shape
@@ -460,9 +463,15 @@ def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype)
     padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
         .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
     dt = np.result_type(wt, dtype)
-    rows = _rows(to, max(c, co) * hw * dt.itemsize)
+    # Each tap's class and its offset there in the slab at t0 = 0.
+    taps = [(classes[i % st, j % sh, k % sw], ((i // st) * hb + j // sh) * wb + k // sw)
+            for i in range(kt) for j in range(kh) for k in range(kw)]
+    per = min(len(taps), max(1, co // c))  # taps per GEMM: no more rows than the grid's
+    rows = _rows(to, (co + per * c) * hw * dt.itemsize)
+    wk = wt.reshape(-1, co)  # [taps*C, Co], tap-major
+    groups = [(wk[q * c:(q + per) * c], taps[q:q + per]) for q in range(0, len(taps), per)]
     gbuf = np.empty(co * rows * hw, dtype=dt)
-    buf = np.empty(c * rows * hw, dtype=dt)  # one tap's rows of one slab
+    buf = np.empty(per * c * rows * hw, dtype=dt)
     gx = np.empty(shape, dtype=dtype)
     for b in range(n):
         classes.fill(0)
@@ -476,11 +485,12 @@ def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype)
             grid = gbuf[:co * r * hw].reshape(co, r, hb, wb)
             lay(b, t0, grid)
             gs = grid.reshape(co, r * hw)
-            tap = buf[:c * r * hw].reshape(c, r * hw)
-            for i, j, k in np.ndindex(kt, kh, kw):
-                np.matmul(wt[i, j, k], gs, out=tap)
-                s = ((i // st + t0) * hb + j // sh) * wb + k // sw
-                classes[i % st, j % sh, k % sw, :, s:s + r * hw] += tap
+            out = buf[:per * c * r * hw].reshape(per * c, r * hw)
+            for wg, group in groups:
+                part = np.matmul(wg, gs, out=out[:len(wg)])
+                for q, (cls, off) in enumerate(group):
+                    s = off + t0 * hw
+                    cls[:, s:s + r * hw] += part[q * c:(q + 1) * c]
         # Reshaped per sample: above stride 1 the interleave is a copy.
         gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
     return gx
@@ -588,7 +598,9 @@ def _phase_kernels(w: np.ndarray) -> np.ndarray:
     f = np.ascontiguousarray(w.transpose(2, 3, 4, 0, 1))  # [kt, kh, kw, Co, C]
     for axis in (0, 2, 4):
         f = _fold(f, axis)  # [pt, i, ph, j, pw, k, Co, C] after the last
-    return f.transpose(0, 2, 4, 6, 7, 1, 3, 5).reshape(8 * co, 8 * c)
+    # Two copies, each moving whole runs: C last, then C before the taps.
+    f = f.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(8 * co, 8, c)
+    return np.ascontiguousarray(f.transpose(0, 2, 1)).reshape(8 * co, 8 * c)
 
 
 def _phase_kernels_adjoint(gk: np.ndarray) -> np.ndarray:
@@ -596,7 +608,8 @@ def _phase_kernels_adjoint(gk: np.ndarray) -> np.ndarray:
     gradient of its [8*Co, 8*C] output, in any shape of that size whose last
     axis is the 8*C columns."""
     c = gk.shape[-1] // 8
-    u = gk.reshape(2, 2, 2, -1, c, 2, 2, 2).transpose(0, 5, 1, 6, 2, 7, 3, 4)
+    u = np.ascontiguousarray(gk.reshape(-1, c, 8).transpose(0, 2, 1))  # columns (taps, C)
+    u = u.reshape(2, 2, 2, -1, 2, 2, 2, c).transpose(0, 4, 1, 5, 2, 6, 3, 7)
     for axis in (4, 2, 0):
         u = _unfold(u, axis)  # [kt, kh, kw, Co, C] after the last
     return u.transpose(3, 4, 0, 1, 2)
@@ -618,9 +631,10 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
     that phase's T*H*W positions, sums each slab's GEMM in T order within
     each sample, then in batch order, and folds the eight results back with
     ``_phase_kernels_adjoint``. Forward keeps only ``x``. Memory is the
-    helpers' contracts, plus one slab's GEMM result (Co/C of its columns) in
-    forward, and one phase's output gradient over a slab and the phase
-    kernels' gradients in the weight gradient.
+    helpers' contracts, plus one buffer of a slab's GEMM result (Co/C of its
+    columns, reused for every slab) in forward, and one phase's output
+    gradient over a slab and the phase kernels' gradients in the weight
+    gradient.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"upsample_conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
@@ -635,9 +649,13 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
     ones, k2, plane = (1, 1, 1), (2, 2, 2), (h + 1) * (w + 1)  # plane: windows per padded plane
 
     out = np.empty((n, co, t, 2, h, 2, w, 2), dtype=np.result_type(k8, xd))
+    ybuf = None
     for b, s, cols in _im2col(xd, k2, ones, ones, ones):
         s0, r = s.start // plane, cols.shape[1] // plane
-        y = np.matmul(k8, cols).reshape(2, 2, 2, co, r, h + 1, w + 1)
+        if ybuf is None:  # the first slab is the widest
+            ybuf = np.empty(8 * co * r * plane, dtype=out.dtype)
+        y = np.matmul(k8, cols, out=ybuf[:8 * co * r * plane].reshape(8 * co, r * plane))
+        y = y.reshape(2, 2, 2, co, r, h + 1, w + 1)
         for at, ah, aw in np.ndindex(2, 2, 2):
             lo, hi = max(s0, at), min(s0 + r, t + at)  # windows with an output plane
             out[b, :, lo - at:hi - at, at, :, ah, :, aw] = \

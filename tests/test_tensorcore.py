@@ -339,9 +339,10 @@ class TestConv3d:
         out, gx, whole_gw, gb = conv3d_batched_reference(xv, wv, bv, s, pad, g)
         return (out, gx, weight_grad_slabs_reference(xv, wv, s, pad, g, rows), gb), whole_gw
 
-    # The input gradient's slabs hold one tap's C rows of c * hb * wb values a
-    # plane, so SLAB_SHAPES' input gradients fit one slab. A slab of two planes
-    # makes these span several, the last one partial.
+    # The input gradient's slabs hold Co rows of the output gradient and one
+    # tap's C rows of its GEMM (Co < 2C here), hb * wb values a plane each, so
+    # SLAB_SHAPES' input gradients fit one slab. A slab of two planes makes
+    # these span several, the last one partial.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("conv", sorted(CONV_CLASSES) + sorted(ANISO))
     def test_input_grad_slabs_match_batched_reference_bitwise(self, conv, dtype, monkeypatch):
@@ -354,10 +355,11 @@ class TestConv3d:
         to = (extents[0] + 2 * pad[0] - k) // s[0] + 1
         hb, wb = (-(-(e + 2 * p) // st) for e, p, st in zip(extents[1:], pad[1:], s[1:]))
         assert to > 2 and to % 2, "the input gradient must span several slabs, the last partial"
-        monkeypatch.setattr(tc, "_SLAB_BYTES", 2 * c * hb * wb * np.dtype(dtype).itemsize)
+        co = 4
+        monkeypatch.setattr(tc, "_SLAB_BYTES", 2 * (co + c) * hb * wb * np.dtype(dtype).itemsize)
         rng = np.random.default_rng(15)
         xv = rng.normal(size=(2, c) + extents).astype(dtype)
-        wv = rng.normal(size=(4, c, k, k, k)).astype(dtype)
+        wv = rng.normal(size=(co, c, k, k, k)).astype(dtype)
         x = Tensor(xv, requires_grad=True)
         with Tape():
             out = tc.conv3d(x, Tensor(wv), stride=s, padding=pad)
@@ -569,9 +571,10 @@ class TestConv3d:
 
     def test_input_grad_holds_one_slab_of_the_output_gradient(self):
         # Beyond g, a frozen-weight k3s1 input gradient holds one slab of g on
-        # the padded plane pitch and one tap's C rows of it, one sample's
-        # padded gradient, gx and 64 KiB. One sample's whole padded output
-        # gradient (8.5 MiB here) is more than all of that.
+        # the padded plane pitch and the GEMM result of a group of taps over
+        # it (together a slab), one sample's padded gradient, gx and 64 KiB.
+        # One sample's whole padded output gradient (8.5 MiB here) is more
+        # than all of that.
         k, s, pad = CONV_CLASSES["k3s1"]
         rng = np.random.default_rng(13)
         n, c, t, h, w, co = 1, 4, 16, 64, 64, 32
@@ -584,7 +587,7 @@ class TestConv3d:
         rows = min(t, max(1, tc._SLAB_BYTES // (co * hw * 4)))
         assert rows < t, "the output gradient must span several slabs"
         classes = c * (t + 2 + 1) * hw * 4
-        bound = (co + c) * rows * hw * 4 + classes + x.data.nbytes + (64 << 10)
+        bound = tc._SLAB_BYTES + classes + x.data.nbytes + (64 << 10)
         assert co * t * hw * 4 > bound
         (gx, _, _), _, peak = traced(lambda: tape.nodes[-1].backward_fn(g))
         assert gx.shape == x.shape
