@@ -371,12 +371,12 @@ def take_rows(matrix: Tensor, indices: np.ndarray) -> Tensor:
     return _record((matrix,), out, bwd)
 
 
-def _triple(v, name: str) -> tuple:
-    if isinstance(v, int):
-        return (v, v, v)
-    t = tuple(int(x) for x in v)
+def _triple(v, name: str, least: int) -> tuple:
+    t = (v, v, v) if isinstance(v, int) else tuple(int(x) for x in v)
     if len(t) != 3:
         raise ArgumentError(f"{name} must be an int or length-3 tuple")
+    if min(t) < least:
+        raise ArgumentError(f"{name} components must be >= {least}, got {t}")
     return t
 
 
@@ -387,9 +387,7 @@ _SLAB_BYTES = 4 << 20
 
 
 def _rows(planes: int, plane_bytes: int) -> int:
-    """Output T-planes (or kernel taps) per slab, of ``planes``, when a slab's
-    widest buffer holds ``plane_bytes`` for each: as many as fit
-    ``_SLAB_BYTES``, at least one."""
+    """As many of ``planes`` T-planes as fit ``_SLAB_BYTES`` at ``plane_bytes`` each; at least one."""
     return min(planes, max(1, _SLAB_BYTES // plane_bytes))
 
 
@@ -407,15 +405,14 @@ def _im2col(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: tuple)
     n, c, t, h, w = src.shape
     st, sh, sw = stride
     pt, ph, pw = lo
-    to, ho, wo = ((e + a + z - k) // s + 1
-                  for e, a, z, k, s in zip((t, h, w), lo, hi, kernel, stride))
+    to, ho, wo = ((e + a + z - k) // s + 1 for e, a, z, k, s in zip((t, h, w), lo, hi, kernel, stride))
     ck, plane = c * math.prod(kernel), ho * wo
     rows = _rows(to, ck * plane * src.itemsize)
     span = (rows - 1) * st + kernel[0]
     xs = np.zeros((c, span, h + ph + hi[1], w + pw + hi[2]), dtype=src.dtype)
     inner = xs[:, :, ph:ph + h, pw:pw + w]
-    win = np.lib.stride_tricks.sliding_window_view(xs, kernel, axis=(1, 2, 3))
-    win = win[:, ::st, ::sh, ::sw].transpose(0, 4, 5, 6, 1, 2, 3)  # [C,kt,kh,kw,rows,ho,wo]
+    win = np.lib.stride_tricks.as_strided(xs, (c, *kernel, rows, ho, wo), xs.strides + tuple(
+        v * s for v, s in zip(xs.strides[1:], stride)))  # the windows, read only
     slab = np.empty(ck * rows * plane, dtype=src.dtype)
     for b in range(n):
         for t0 in range(0, to, rows):
@@ -431,11 +428,26 @@ def _im2col(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: tuple)
             yield b, slice(t0 * plane, (t0 + r) * plane), cols
 
 
-def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype) -> np.ndarray:
+def _weight_grad(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: tuple, gslab):
+    """A conv's weight gradient [Co, C*kt*kh*kw]: ``gslab(b, s) @ cols.T``, with
+    ``gslab`` the output gradient [Co, len(s)] at an ``_im2col`` slab's
+    positions, summed in T order within each sample, then in batch order.
+    Beyond ``_im2col``'s memory: the sum, one GEMM result and one ``gslab``."""
+    total = part = None
+    for b, s, cols in _im2col(src, kernel, stride, lo, hi):
+        if total is None:  # the first slab's GEMM starts the sum
+            total = np.matmul(gslab(b, s), cols.T)
+            part = np.empty_like(total)
+        else:
+            total += np.matmul(gslab(b, s), cols.T, out=part)
+    return total
+
+
+def _col2im(shape: tuple, weight: np.ndarray, stride: tuple, pad: tuple, lay, dtype) -> np.ndarray:
     """The input gradient [N,C,T,H,W] (``shape``, ``dtype``) of a conv with
-    kernels ``wt`` [kt,kh,kw,C,Co], ``stride`` and ``pad`` planes of zeros on
-    both sides of each axis, without dcols: GEMMs of a few taps' rows of
-    ``wt`` at a time over a slab of output T-planes.
+    [Co,C,kt,kh,kw] kernels ``weight``, ``stride`` and ``pad`` planes of zeros on
+    both sides of each axis, without dcols: GEMMs of a few taps' [C, Co]
+    kernels at a time over a slab of output T-planes.
 
     ``lay(b, t0, grid)`` fills ``grid`` [Co, r, hb, wb] with sample b's output
     gradient at output planes t0, t0+1, ...: output (q, y, x) at grid[:, q -
@@ -452,7 +464,7 @@ def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype)
     gradient and ``gx``. Nothing grows with the batch or the taps.
     """
     n, c, t, h, w = shape
-    kt, kh, kw, _, co = wt.shape
+    co, _, kt, kh, kw = weight.shape
     st, sh, sw = stride
     pt, ph, pw = pad
     tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
@@ -462,13 +474,13 @@ def _col2im(shape: tuple, wt: np.ndarray, stride: tuple, pad: tuple, lay, dtype)
     classes = np.empty((st, sh, sw, c, (ta + 1) * hw), dtype=dtype)
     padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
         .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
-    dt = np.result_type(wt, dtype)
+    dt = np.result_type(weight, dtype)
     # Each tap's class and its offset there in the slab at t0 = 0.
     taps = [(classes[i % st, j % sh, k % sw], ((i // st) * hb + j // sh) * wb + k // sw)
             for i in range(kt) for j in range(kh) for k in range(kw)]
     per = min(len(taps), max(1, co // c))  # taps per GEMM: no more rows than the grid's
     rows = _rows(to, (co + per * c) * hw * dt.itemsize)
-    wk = wt.reshape(-1, co)  # [taps*C, Co], tap-major
+    wk = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, co)  # [taps*C, Co]
     groups = [(wk[q * c:(q + per) * c], taps[q:q + per]) for q in range(0, len(taps), per)]
     gbuf = np.empty(co * rows * hw, dtype=dt)
     buf = np.empty(per * c * rows * hw, dtype=dt)
@@ -500,21 +512,14 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=1, padding=0) -> Tensor:
     """3-D convolution over [N,C,T,H,W] with [Co,C,kt,kh,kw] kernels.
 
-    Forward GEMMs each ``_im2col`` slab into the output. The weight gradient
-    runs ``_im2col`` again and sums each slab's GEMM into ``gw`` in T order
-    within each sample, then in batch order. The input gradient is
-    ``_col2im``. Forward keeps only its inputs, and in place of ``x`` the
-    ``remake`` of the node that made it, when that offers one; the remade
-    ``x`` lives only in the weight gradient. Backward computes only the
-    gradients whose inputs require one. Memory is the helpers' contracts,
-    plus ``gw`` and one GEMM result of its size.
+    Forward GEMMs each ``_im2col`` slab into the output; the gradients are
+    ``_weight_grad`` and ``_col2im``. Forward keeps only its inputs, and in
+    place of ``x`` the ``remake`` of the node that made it, when that offers
+    one; the remade ``x`` lives only in the weight gradient. Backward computes
+    only the gradients whose inputs require one. Memory is the helpers'.
     """
-    stride = _triple(stride, "stride")
-    padding = _triple(padding, "padding")
-    if any(s < 1 for s in stride):
-        raise ArgumentError(f"stride components must be >= 1, got {stride}")
-    if any(p < 0 for p in padding):
-        raise ArgumentError(f"padding components must be >= 0, got {padding}")
+    stride = _triple(stride, "stride", 1)
+    padding = _triple(padding, "padding", 0)
     if x.data.ndim != 5:
         raise ShapeError(f"conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
     if weight.data.ndim != 5:
@@ -546,27 +551,15 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         g2 = np.ascontiguousarray(g.reshape(n, co, -1))
         gw = gx = gb = None
         if weight.requires_grad:
-            gw = np.empty(w2.shape, dtype=np.result_type(g2, xdt))
-            part = np.empty_like(gw)
-            src = xd if remake is None else remake()
-            for b, s, cols in _im2col(src, kernel, stride, padding, padding):
-                if b or s.start:
-                    gw += np.matmul(g2[b, :, s], cols.T, out=part)
-                else:  # the first slab's GEMM starts the sum
-                    np.matmul(g2[b, :, s], cols.T, out=gw)
-            gw = gw.reshape(weight.shape)
-            # cols and the gx buffers both alive make malloc map fresh pages
-            del src, cols, part
+            # A remade x dies with the call, before the gx buffers are made.
+            gw = _weight_grad(xd if remake is None else remake(), kernel, stride, padding,
+                              padding, lambda b, s: g2[b, :, s]).reshape(weight.shape)
         if x_grad:
-            gv = g2.reshape(n, co, to, ho, wo)
-
             def lay(b, t0, grid):
-                grid[:, :, :ho, :wo] = gv[b, :, t0:t0 + grid.shape[1]]
-                grid[:, :, ho:] = 0
-                grid[:, :, :ho, wo:] = 0
+                grid[:, :, :ho, :wo] = g[b, :, t0:t0 + grid.shape[1]]
+                grid[:, :, ho:] = grid[:, :, :ho, wo:] = 0
 
-            wt = np.ascontiguousarray(weight.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,C,Co]
-            gx = _col2im((n, c, t, h, w), wt, stride, padding, lay, xdt)
+            gx = _col2im((n, c, t, h, w), weight.data, stride, padding, lay, xdt)
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
@@ -627,14 +620,12 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
     conv with 8*Co outputs whose phases interleave (sub-pixel convolution),
     with the [8*Co, 8*C] matrix of ``_phase_kernels``. Forward and the input
     gradient are that conv's ``_im2col`` GEMM and ``_col2im``. The weight
-    gradient runs one ``_im2col`` per phase, bordered so that its windows are
-    that phase's T*H*W positions, sums each slab's GEMM in T order within
-    each sample, then in batch order, and folds the eight results back with
-    ``_phase_kernels_adjoint``. Forward keeps only ``x``. Memory is the
-    helpers' contracts, plus one buffer of a slab's GEMM result (Co/C of its
-    columns, reused for every slab) in forward, and one phase's output
-    gradient over a slab and the phase kernels' gradients in the weight
-    gradient.
+    gradient runs one ``_weight_grad`` per phase, bordered so that its
+    windows are that phase's T*H*W positions, and folds the eight results
+    back with ``_phase_kernels_adjoint``. Forward keeps only ``x``. Memory is
+    the helpers', plus one buffer of a slab's GEMM result (Co/C of its
+    columns, reused for every slab) in forward and the phase kernels'
+    gradients in the weight gradient.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"upsample_conv3d input must be rank 5 [N,C,T,H,W], got rank {x.data.ndim}")
@@ -666,18 +657,11 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
 
     def weight_grad(gv):
         gk = np.empty((8, co, 8 * c), dtype=np.result_type(gv, xdt))
-        part = np.empty_like(gk[0])
         for q, a in enumerate(np.ndindex(2, 2, 2)):
             # phase a of plane q reads window q + a of the input bordered by 1
-            for b, s, cols in _im2col(xd, k2, ones, tuple(1 - v for v in a), a):
-                t0, r = s.start // (h * w), cols.shape[1] // (h * w)
-                gs = np.ascontiguousarray(gv[b, :, t0:t0 + r, a[0], :, a[1], :, a[2]])
-                if b or t0:
-                    gk[q] += np.matmul(gs.reshape(co, -1), cols.T, out=part)
-                else:  # each phase's first GEMM starts its sum
-                    np.matmul(gs.reshape(co, -1), cols.T, out=gk[q])
-                del gs  # before the next slab's
-            del cols  # before the next phase's buffers
+            lo, gp = tuple(1 - v for v in a), gv[:, :, :, a[0], :, a[1], :, a[2]]
+            gk[q] = _weight_grad(xd, k2, ones, lo, a, lambda b, s: np.ascontiguousarray(
+                gp[b, :, s.start // (h * w):s.stop // (h * w)]).reshape(co, -1))
         return _phase_kernels_adjoint(gk)
 
     def input_grad(gv):
@@ -689,9 +673,8 @@ def upsample_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) ->
                 grid[at, ah, aw, :, lo - s0:hi - s0, ah:ah + h, aw:aw + w] = \
                     gv[b, :, lo - at:hi - at, at, :, ah, :, aw]
 
-        # the phase kernels are not kept from forward
-        wt = _phase_kernels(weight.data).reshape(8 * co, c, 2, 2, 2).transpose(2, 3, 4, 1, 0)
-        return _col2im(xd.shape, np.ascontiguousarray(wt), ones, ones, lay, xdt)
+        k = _phase_kernels(weight.data).reshape(8 * co, c, 2, 2, 2)  # not kept from forward
+        return _col2im(xd.shape, k, ones, ones, lay, xdt)
 
     x_grad = x.requires_grad
 
