@@ -445,9 +445,8 @@ def _weight_grad(src: np.ndarray, kernel: tuple, stride: tuple, lo: tuple, hi: t
 
 def _col2im(shape: tuple, weight: np.ndarray, stride: tuple, pad: tuple, lay, dtype) -> np.ndarray:
     """The input gradient [N,C,T,H,W] (``shape``, ``dtype``) of a conv with
-    [Co,C,kt,kh,kw] kernels ``weight``, ``stride`` and ``pad`` planes of zeros on
-    both sides of each axis, without dcols: GEMMs of a few taps' [C, Co]
-    kernels at a time over a slab of output T-planes.
+    [Co,C,kt,kh,kw] kernels ``weight``, ``stride`` and ``pad`` zero planes on
+    both sides of each axis, without dcols: one GEMM per group of taps per slab.
 
     ``lay(b, t0, grid)`` fills ``grid`` [Co, r, hb, wb] with sample b's output
     gradient at output planes t0, t0+1, ...: output (q, y, x) at grid[:, q -
@@ -459,9 +458,9 @@ def _col2im(shape: tuple, weight: np.ndarray, stride: tuple, pad: tuple, lay, dt
 
     Memory contract: one slab of ``grid`` and the GEMM result of one group of
     taps over it, together about ``_SLAB_BYTES`` (``_rows`` planes, or one
-    plane's). A group is one tap, or Co // C taps where that is more, so its
-    GEMM has no more rows than the grid. Beyond them one sample's padded
-    gradient and ``gx``. Nothing grows with the batch or the taps.
+    plane's). A group's taps, at most Co // C and at least one, split the taps
+    evenly, so its GEMM has no more rows than the grid. Beyond them one
+    sample's padded gradient and ``gx``. Nothing grows with the batch or taps.
     """
     n, c, t, h, w = shape
     co, _, kt, kh, kw = weight.shape
@@ -475,13 +474,14 @@ def _col2im(shape: tuple, weight: np.ndarray, stride: tuple, pad: tuple, lay, dt
     padded = classes.reshape(st, sh, sw, c, ta + 1, hb, wb)[:, :, :, :, :ta] \
         .transpose(3, 4, 0, 5, 1, 6, 2)  # [C, ta, st, hb, sh, wb, sw]
     dt = np.result_type(weight, dtype)
-    # Each tap's class and its offset there in the slab at t0 = 0.
-    taps = [(classes[i % st, j % sh, k % sw], ((i // st) * hb + j // sh) * wb + k // sw)
-            for i in range(kt) for j in range(kh) for k in range(kw)]
-    per = min(len(taps), max(1, co // c))  # taps per GEMM: no more rows than the grid's
+    taps = [(i, j, k) for i in range(kt) for j in range(kh) for k in range(kw)]
+    per = max(d for d in range(1, max(1, co // c) + 1) if len(taps) % d == 0)  # taps per GEMM
     rows = _rows(to, (co + per * c) * hw * dt.itemsize)
-    wk = np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, co)  # [taps*C, Co]
-    groups = [(wk[q * c:(q + per) * c], taps[q:q + per]) for q in range(0, len(taps), per)]
+    kernels = list(np.ascontiguousarray(weight.transpose(2, 3, 4, 1, 0)).reshape(-1, per * c, co))
+    views = list(classes.reshape(st * sh * sw, c, -1))
+    # Per tap: its group's kernels, its class, its offset there at t0 = 0, its rows' start.
+    plan = [(kernels[p // per], views[(i % st * sh + j % sh) * sw + k % sw],
+             ((i // st) * hb + j // sh) * wb + k // sw, p % per * c) for p, (i, j, k) in enumerate(taps)]
     gbuf = np.empty(co * rows * hw, dtype=dt)
     buf = np.empty(per * c * rows * hw, dtype=dt)
     gx = np.empty(shape, dtype=dtype)
@@ -498,11 +498,11 @@ def _col2im(shape: tuple, weight: np.ndarray, stride: tuple, pad: tuple, lay, dt
             lay(b, t0, grid)
             gs = grid.reshape(co, r * hw)
             out = buf[:per * c * r * hw].reshape(per * c, r * hw)
-            for wg, group in groups:
-                part = np.matmul(wg, gs, out=out[:len(wg)])
-                for q, (cls, off) in enumerate(group):
-                    s = off + t0 * hw
-                    cls[:, s:s + r * hw] += part[q * c:(q + 1) * c]
+            for wg, cls, off, q in plan:
+                if not q:  # a group's first tap runs its GEMM
+                    np.matmul(wg, gs, out=out)
+                s = off + t0 * hw
+                cls[:, s:s + r * hw] += out[q:q + c]
         # Reshaped per sample: above stride 1 the interleave is a copy.
         gx[b] = padded.reshape(c, ta * st, hb * sh, wb * sw)[:, pt:pt + t, ph:ph + h, pw:pw + w]
     return gx
